@@ -5,6 +5,9 @@ hidden layer followed by a linear output. Training minimizes half the
 sum of squared errors with Polak-Ribiere conjugate gradient, an Armijo
 backtracking line search, and early stopping on a seeded holdout split.
 Everything is deterministic given the seed.
+
+The kernels are tuned for small arrays but stay bit-identical to the
+reference formulas; tests/test_ann.py and tests/golden/ pin them.
 """
 
 from __future__ import annotations
@@ -88,37 +91,46 @@ def _unpack(params: np.ndarray, n_inputs: int, hidden_nodes: int):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # e = exp(-|z|) cannot overflow: 1/(1+e) for z >= 0, e/(1+e) below
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
+
+
+def _matrix(x) -> np.ndarray:
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 def forward(params: np.ndarray, inputs: np.ndarray,
             hidden_nodes: int) -> np.ndarray:
     """Network outputs (ln-effort scale) for standardized inputs."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    X = _matrix(inputs)
     w_hidden, b_hidden, w_out, b_out = _unpack(params, X.shape[1],
                                                hidden_nodes)
-    activations = _sigmoid(X @ w_hidden.T + b_hidden)
-    return activations @ w_out + b_out
+    z = X @ w_hidden.T
+    z += b_hidden
+    return _sigmoid(z) @ w_out + b_out
 
 
 def gradient(params: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
              hidden_nodes: int) -> np.ndarray:
     """Gradient of half the sum of squared errors, by backpropagation."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    X = _matrix(inputs)
     y = np.asarray(targets, dtype=float)
     w_hidden, b_hidden, w_out, _ = _unpack(params, X.shape[1], hidden_nodes)
-    activations = _sigmoid(X @ w_hidden.T + b_hidden)
-    out = activations @ w_out + params[-1]
+    z = X @ w_hidden.T
+    z += b_hidden
+    activations = _sigmoid(z)
 
-    delta_out = out - y
+    delta_out = activations @ w_out + params[-1] - y
     g_w_out = activations.T @ delta_out
     g_b_out = delta_out.sum()
-    delta_hidden = np.outer(delta_out, w_out) * activations * (1 - activations)
+    delta_hidden = delta_out[:, None] * w_out
+    delta_hidden *= activations
+    delta_hidden *= 1 - activations
     g_w_hidden = delta_hidden.T @ X
     g_b_hidden = delta_hidden.sum(axis=0)
     return np.concatenate([
@@ -197,7 +209,8 @@ def train(frame: ModelFrame,
     direction = -g
     iterations = 0
     for it in range(1, config.max_iterations + 1):
-        if float(np.linalg.norm(g)) < config.min_gradient:
+        g_sq = float(g @ g)
+        if math.sqrt(g_sq) < config.min_gradient:
             stop = STOP_GRADIENT_BELOW_MIN
             break
 
@@ -222,7 +235,7 @@ def train(frame: ModelFrame,
         if it % n_params == 0:
             beta = 0.0
         else:
-            beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
+            beta = max(0.0, float(g_new @ (g_new - g)) / g_sq)
         direction = -g_new + beta * direction
         g = g_new
         iterations = it

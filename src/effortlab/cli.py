@@ -510,14 +510,14 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         text, code = _dispatch(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except (EffortlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

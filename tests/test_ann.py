@@ -7,7 +7,7 @@ import effortlab as el
 from effortlab.ann import (HOLDOUT_PATIENCE, STOP_GRADIENT_BELOW_MIN,
                            STOP_HOLDOUT_WORSENING,
                            STOP_IMPROVEMENT_BELOW_DELTA, STOP_MAX_ITERATIONS,
-                           _half_sse, parameter_count)
+                           _half_sse, _sigmoid, parameter_count)
 
 
 def _fd_gradient(w, X, y, h, eps=1e-6):
@@ -18,6 +18,78 @@ def _fd_gradient(w, X, y, h, eps=1e-6):
         down[i] -= eps
         out[i] = (_half_sse(up, X, y, h) - _half_sse(down, X, y, h)) / (2 * eps)
     return out
+
+
+def _two_branch_sigmoid(z):
+    # reference logistic: the kernel must match it bit for bit
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_forward(params, X, h):
+    d = X.shape[1]
+    hidden = _two_branch_sigmoid(X @ params[:h * d].reshape(h, d).T
+                                 + params[h * d:h * d + h])
+    return hidden @ params[h * d + h:h * d + 2 * h] + params[-1]
+
+
+def _reference_gradient(params, X, y, h):
+    d = X.shape[1]
+    w_out = params[h * d + h:h * d + 2 * h]
+    hidden = _two_branch_sigmoid(X @ params[:h * d].reshape(h, d).T
+                                 + params[h * d:h * d + h])
+    delta_out = hidden @ w_out + params[-1] - y
+    delta_hidden = np.outer(delta_out, w_out) * hidden * (1 - hidden)
+    return np.concatenate([(delta_hidden.T @ X).ravel(),
+                           delta_hidden.sum(axis=0), hidden.T @ delta_out,
+                           [delta_out.sum()]])
+
+
+def _assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def test_sigmoid_bitwise_matches_two_branch_reference():
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0,
+                      5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8])
+    _assert_bitwise(_sigmoid(edges), _two_branch_sigmoid(edges))
+    rng = np.random.default_rng(2014)
+    for scale in (1e-300, 1e-12, 1e-3, 0.1, 1.0, 4.0, 30.0, 300.0, 1e4):
+        for shape in ((62, 7), (15, 3), (101,)):
+            z = rng.normal(scale=scale, size=shape)
+            _assert_bitwise(_sigmoid(z), _two_branch_sigmoid(z))
+
+
+def test_kernels_bitwise_match_references():
+    rng = np.random.default_rng(5)
+    for d, h, n in ((7, 7, 62), (1, 3, 12), (4, 2, 15)):
+        X = rng.normal(size=(n, d))
+        y = rng.normal(size=n)
+        w = el.init_network(d, h, seed=d * h)
+        _assert_bitwise(el.forward(w, X, h), _reference_forward(w, X, h))
+        _assert_bitwise(el.gradient(w, X, y, h),
+                        _reference_gradient(w, X, y, h))
+
+
+def test_kernels_bitwise_equal_across_input_kinds():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(20, 5))
+    X_int = rng.integers(-3, 4, size=(20, 5))
+    y = rng.normal(size=20)
+    w = el.init_network(5, 4, seed=3)
+    for fast, other in ((X, X.tolist()), (X[:1], X[0]),
+                        (X_int.astype(float), X_int)):
+        _assert_bitwise(el.forward(w, other, 4), el.forward(w, fast, 4))
+        m = len(fast)
+        _assert_bitwise(el.gradient(w, other, list(y[:m]), 4),
+                        el.gradient(w, fast, y[:m], 4))
 
 
 def test_parameter_count():

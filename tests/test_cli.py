@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -99,6 +103,27 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert "Dataset summary" in target.read_text()
+
+
+def test_out_to_unwritable_path_is_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "report.txt"
+    code, out, err = _capture(capsys, ["validate", "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "report.txt" in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(el.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("EFFORTLAB_DATASET", None)
+    proc = subprocess.run([sys.executable, "-m", "effortlab", "validate"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Complete records: 77" in proc.stdout
 
 
 def test_byte_stable_outputs(capsys):
