@@ -85,7 +85,6 @@ from .regression import (
     stepwise_select,
     vif,
 )
-from .cli import render_report, run
 
 __version__ = "0.1.0"
 
@@ -159,3 +158,12 @@ __all__ = [
     "validate_derived",
     "vif",
 ]
+
+
+def __getattr__(name: str):
+    # The CLI is imported on first use, so that `python -m effortlab.cli`
+    # does not find it already imported by the package.
+    if name in ("render_report", "run"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,6 +9,7 @@ removable attributes by how much their absence hurts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -76,8 +77,8 @@ def scenarios() -> tuple[Scenario, ...]:
 
 def _pairs(records: Sequence[ProjectRecord],
            predicted: np.ndarray) -> list[EvaluationPair]:
-    return [EvaluationPair(actual=r.effort, predicted=float(p))
-            for r, p in zip(records, predicted)]
+    return list(map(EvaluationPair, map(attrgetter("effort"), records),
+                    predicted.tolist()))
 
 
 def _median_report(reports: Sequence[MetricsReport]) -> MetricsReport:

@@ -384,14 +384,6 @@ def _dataset_path(args: argparse.Namespace) -> str:
     return bundled_dataset_path()
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effortlab",
@@ -457,9 +449,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
-    path = _dataset_path(args)
-    checksum = _sha256(path)
-    raw = load_dataset(path)
+    digest = hashlib.sha256()
+    raw = load_dataset(_dataset_path(args), digest=digest)
+    checksum = digest.hexdigest()
     complete = filter_complete(raw)
 
     if args.command == "validate":

@@ -8,9 +8,12 @@ both are accepted here, and CSV is the normative interchange format.
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
+from operator import attrgetter
 from typing import IO, Iterable
 
 from .errors import DomainError, ParseError, SchemaError
@@ -32,6 +35,11 @@ COLUMNS = (
 
 MISSING_MARKERS = frozenset({"", "?"})
 
+_FLOAT_COLUMNS = frozenset({"Effort", "PointsNonAdjust", "PointsAdjust"})
+
+# Rows converted column by column at a time; bounds the tokens held at once.
+_CHUNK_ROWS = 2048
+
 ADJUST_TOLERANCE = 0.02
 
 _FIELD_NAMES = (
@@ -48,6 +56,9 @@ _FIELD_NAMES = (
     "points_adjust",
     "language",
 )
+
+# All twelve fields of a record, in COLUMNS order, as one tuple.
+_FIELDS = attrgetter(*_FIELD_NAMES)
 
 SUMMARY_ATTRIBUTES = (
     "team_exp",
@@ -81,7 +92,7 @@ class RawRecord:
     language: int | None = None
 
     def is_complete(self) -> bool:
-        return all(getattr(self, f.name) is not None for f in fields(self))
+        return None not in _FIELDS(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,39 +149,93 @@ def _parse_value(token: str, column: str, row: int):
     if token in MISSING_MARKERS:
         return None
     try:
-        if column in ("Effort", "PointsNonAdjust", "PointsAdjust"):
-            return float(token)
-        return int(token)
+        if column not in _FLOAT_COLUMNS:
+            return int(token)
+        value = float(token)
     except ValueError:
         raise ParseError(
             f"non-numeric token {token!r} in column {column}", row=row
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(
+            f"non-finite token {token!r} in column {column}", row=row
+        )
+    return value
 
 
-def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
-                       columns: list[str]) -> list[RawRecord]:
-    missing = [c for c in COLUMNS if c not in columns]
-    if missing:
-        raise SchemaError(f"missing attributes: {', '.join(missing)}")
-    index = {c: columns.index(c) for c in COLUMNS}
+def _convert_column(tokens: tuple[str, ...], convert, column: str,
+                    row_nos: list[int]) -> list:
+    """One column of a chunk in one pass of `convert`; the per-cell path
+    only when some token is missing, malformed or not finite."""
+    try:
+        values = list(map(convert, tokens))
+        if convert is float and not all(map(math.isfinite, values)):
+            raise ValueError
+        return values
+    except ValueError:
+        return [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]
+
+
+def _chunk_by_column(chunk: list[tuple[int, list[str]]], width: int,
+                     specs: list, seen: set) -> list[RawRecord] | None:
+    """Records of a chunk whose rows are all well formed, else None."""
+    if any(len(tokens) != width for _, tokens in chunk):
+        return None
+    row_nos = [row_no for row_no, _ in chunk]
+    cells = list(zip(*(tokens for _, tokens in chunk)))
+    try:
+        values = [_convert_column(cells[i], convert, column, row_nos)
+                  for i, convert, column in specs]
+    except ParseError:
+        return None
+    ids = values[0]
+    if None in ids or len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+        return None
+    seen.update(ids)
+    return list(map(RawRecord, *values))
+
+
+def _chunk_by_row(chunk: list[tuple[int, list[str]]], width: int,
+                  index: dict[str, int], seen: set) -> list[RawRecord]:
+    """Records of a chunk one cell at a time; raises the chunk's first
+    error in file order."""
     records = []
-    seen = set()
-    for row_no, tokens in rows:
-        if len(tokens) != len(columns):
+    for row_no, tokens in chunk:
+        if len(tokens) != width:
             raise ParseError(
-                f"expected {len(columns)} fields, got {len(tokens)}",
-                row=row_no,
+                f"expected {width} fields, got {len(tokens)}", row=row_no,
             )
-        values = {}
-        for field, column in zip(_FIELD_NAMES, COLUMNS):
-            values[field] = _parse_value(tokens[index[column]], column, row_no)
-        project_id = values["project_id"]
+        values = [_parse_value(tokens[index[c]], c, row_no) for c in COLUMNS]
+        project_id = values[0]
         if project_id is None:
             raise ParseError("missing project id", row=row_no)
         if project_id in seen:
             raise SchemaError(f"duplicate project id {project_id}")
         seen.add(project_id)
-        records.append(RawRecord(**values))
+        records.append(RawRecord(*values))
+    return records
+
+
+def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
+                       columns: list[str]) -> list[RawRecord]:
+    """Rows are converted a chunk at a time, column by column. A chunk
+    with a malformed row is converted again row by row, which reports the
+    same first error as a row-by-row parse of the whole file: every
+    earlier chunk was clean."""
+    missing = [c for c in COLUMNS if c not in columns]
+    if missing:
+        raise SchemaError(f"missing attributes: {', '.join(missing)}")
+    index = {c: columns.index(c) for c in COLUMNS}
+    specs = [(index[c], float if c in _FLOAT_COLUMNS else int, c)
+             for c in COLUMNS]
+    records: list[RawRecord] = []
+    seen: set = set()
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        batch = _chunk_by_column(chunk, len(columns), specs, seen)
+        if batch is None:
+            batch = _chunk_by_row(chunk, len(columns), index, seen)
+        records.extend(batch)
     return records
 
 
@@ -221,13 +286,29 @@ def parse_dataset(stream: IO[str], format: str = "csv") -> list[RawRecord]:
     raise DomainError(f"unknown format {format!r}")
 
 
-def load_dataset(path: str) -> list[RawRecord]:
-    """Parse a dataset file, picking the format from its content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        fmt = "arff-like" if head in ("@", "%") else "csv"
-        return parse_dataset(fh, format=fmt)
+def _decode(data: bytes, digest) -> str:
+    if digest is not None:
+        digest.update(data)
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"line {line}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
+        ) from None
+
+
+def load_dataset(path: str, digest=None) -> list[RawRecord]:
+    """Parse a dataset file, picking the format from its content.
+
+    The file is read once, as UTF-8 with an optional byte-order mark. A
+    hashlib object passed as `digest` is updated with exactly the bytes
+    that were parsed.
+    """
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), digest)
+    fmt = "arff-like" if text[:1] in ("@", "%") else "csv"
+    return parse_dataset(io.StringIO(text, newline=None), format=fmt)
 
 
 def bundled_dataset_path() -> str:
@@ -239,7 +320,8 @@ def filter_complete(records: list[RawRecord]) -> list[ProjectRecord]:
     """Keep records with all twelve fields present, preserving order."""
     out = []
     for rec in records:
-        if not rec.is_complete():
+        values = _FIELDS(rec)
+        if None in values:
             continue
         if rec.effort <= 0:
             raise DomainError(
@@ -254,9 +336,7 @@ def filter_complete(records: list[RawRecord]) -> list[ProjectRecord]:
                 f"project {rec.project_id}: language code {rec.language} "
                 f"not in 1..3"
             )
-        out.append(ProjectRecord(
-            **{f.name: getattr(rec, f.name) for f in fields(RawRecord)}
-        ))
+        out.append(ProjectRecord(*values))
     return out
 
 
@@ -288,7 +368,7 @@ def summarize(records: list[ProjectRecord]) -> DatasetSummary:
     attributes = {}
     n = len(records)
     for name in SUMMARY_ATTRIBUTES:
-        values = [float(getattr(r, name)) for r in records]
+        values = list(map(float, map(attrgetter(name), records)))
         mean = sum(values) / n
         if n > 1:
             sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
@@ -306,8 +386,7 @@ def serialize_records(records: Iterable[RawRecord | ProjectRecord]) -> str:
     lines = [",".join(COLUMNS)]
     for rec in records:
         tokens = []
-        for field in _FIELD_NAMES:
-            value = getattr(rec, field)
+        for value in _FIELDS(rec):
             if value is None:
                 tokens.append("?")
             elif isinstance(value, float) and value == int(value):

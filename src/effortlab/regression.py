@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -144,20 +145,56 @@ def _column_value(name: str, record: ProjectRecord) -> float:
     raise DomainError(f"unknown design column {name!r}")
 
 
+_LN_SOURCES = {"ln_size": "points_non_adjust",
+               "ln_transactions": "transactions", "ln_entities": "entities"}
+_DUMMIES = {f"lang_{k + 1}": {code: float(encode_language(code)[k])
+                              for code in (1, 2, 3)}
+            for k in range(2)}
+_PLAIN = ("team_exp", "manager_exp", "envergure")
+
+
+def _column(name: str, records: Sequence[ProjectRecord]):
+    """One design column over all records, with the values _column_value
+    gives; raises ValueError or KeyError where one cannot be formed."""
+    if name == "intercept":
+        return 1.0
+    if name in _LN_SOURCES:
+        return list(map(math.log, map(attrgetter(_LN_SOURCES[name]),
+                                      records)))
+    if name in _DUMMIES:
+        return list(map(_DUMMIES[name].__getitem__,
+                        map(attrgetter("language"), records)))
+    if name in _PLAIN:
+        return list(map(attrgetter(name), records))
+    raise DomainError(f"unknown design column {name!r}")
+
+
 def _frame_from_columns(records: Sequence[ProjectRecord],
                         columns: tuple[str, ...]) -> ModelFrame:
+    """Fills a C-contiguous matrix one column at a time with math.log, so
+    that every value is the one the row-by-row build gave, bit for bit;
+    the layout is kept because least-squares results depend on it."""
     if not records:
         raise DomainError("need at least one record")
-    rows = []
-    response = []
-    for rec in records:
-        rows.append([_column_value(c, rec) for c in columns])
-        response.append(_ln(rec.effort, "effort", rec.project_id))
+    matrix = np.empty((len(records), len(columns)))
+    try:
+        for j, name in enumerate(columns):
+            matrix[:, j] = _column(name, records)
+        response = np.array(
+            list(map(math.log, map(attrgetter("effort"), records))),
+            dtype=float)
+    except (ValueError, KeyError):
+        # Report the first bad record in order, and its first bad value.
+        for rec in records:
+            for name in columns:
+                _column_value(name, rec)
+            _ln(rec.effort, "effort", rec.project_id)
+        raise
     return ModelFrame(
         columns=columns,
-        matrix=np.array(rows, dtype=float),
-        response=np.array(response, dtype=float),
-        project_ids=tuple(r.project_id for r in records),
+        matrix=matrix,
+        response=response,
+        project_ids=tuple(map(attrgetter("project_id"), records)),
     )
 
 
@@ -294,16 +331,13 @@ def _terms_of(frame: ModelFrame) -> list[tuple[str, tuple[int, ...]]]:
     return terms
 
 
-def _partial_f_p(frame: ModelFrame, base: list[int],
-                 extra: Sequence[int]) -> float:
-    """P value for adding `extra` columns to the model over `base`."""
+def _partial_f_p(frame: ModelFrame, base: list[int], extra: Sequence[int],
+                 rss: Callable[[list[int]], float]) -> float:
+    """P value for adding `extra` columns to the model over `base`; `rss`
+    gives the residual sum of squares of the model on sorted columns."""
     full_idx = sorted(base + list(extra))
-    rss_r = solve_least_squares(
-        frame.matrix[:, sorted(base)], frame.response
-    ).residual_sum_of_squares
-    rss_f = solve_least_squares(
-        frame.matrix[:, full_idx], frame.response
-    ).residual_sum_of_squares
+    rss_r = rss(sorted(base))
+    rss_f = rss(full_idx)
     df_f = frame.n - len(full_idx)
     df_extra = len(extra)
     if df_f < 1:
@@ -333,6 +367,17 @@ def stepwise_select(frame: ModelFrame,
     included: list[str] = []
     steps: list[StepwiseStep] = []
     by_name = dict(terms)
+    # Each model is solved once: a round's base model is shared by every
+    # candidate, and the same solve gives the same bits.
+    solved: dict[tuple[int, ...], float] = {}
+
+    def rss(cols: list[int]) -> float:
+        key = tuple(cols)
+        if key not in solved:
+            solved[key] = solve_least_squares(
+                frame.matrix[:, cols], frame.response
+            ).residual_sum_of_squares
+        return solved[key]
 
     def current_base() -> list[int]:
         cols = [intercept]
@@ -347,7 +392,7 @@ def stepwise_select(frame: ModelFrame,
         for order, (name, cols) in enumerate(terms):
             if name in included:
                 continue
-            p = _partial_f_p(frame, base, cols)
+            p = _partial_f_p(frame, base, cols, rss)
             if p < alpha and (best is None or (p, order) < best[:2]):
                 best = (p, order, name)
         if best is not None:
@@ -359,7 +404,7 @@ def stepwise_select(frame: ModelFrame,
         worst: tuple[float, str] | None = None
         for name in included:
             rest = [c for c in base if c not in by_name[name]]
-            p = _partial_f_p(frame, rest, by_name[name])
+            p = _partial_f_p(frame, rest, by_name[name], rss)
             if p > alpha and (worst is None or p > worst[0]):
                 worst = (p, name)
         if worst is not None:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, stability, schema conformance."""
 
+import codecs
 import hashlib
 import json
 import os
@@ -75,6 +76,60 @@ def test_malformed_dataset_is_data_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def _bundled_with(tmp_path, edit):
+    """A copy of the bundled file with edit(bytes) applied."""
+    path = tmp_path / "edited.csv"
+    path.write_bytes(edit(Path(bundled_dataset_path()).read_bytes()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["summarize"],
+                                     ["ablate", "--model", "regression"]])
+@pytest.mark.parametrize("field, token, message", [
+    (5, b"nan", "row 3: non-finite token 'nan' in column Effort"),
+    (10, b"-inf", "row 3: non-finite token '-inf' in column PointsAdjust"),
+    (8, b"1e999", "row 3: non-finite token '1e999' in column "
+                  "PointsNonAdjust"),
+    (1, b"inf", "row 3: non-numeric token 'inf' in column TeamExp"),
+], ids=["Effort-nan", "PointsAdjust-inf", "PointsNonAdjust-overflow",
+        "TeamExp-inf"])
+def test_non_finite_token_is_data_error(capsys, tmp_path, command, field,
+                                        token, message):
+    def edit(data):
+        lines = data.split(b"\n")
+        cells = lines[2].split(b",")
+        cells[field] = token
+        lines[2] = b",".join(cells)
+        return b"\n".join(lines)
+
+    path = _bundled_with(tmp_path, edit)
+    code, out, err = _capture(capsys, [*command, "--dataset", path])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_byte_order_mark_is_accepted(capsys, tmp_path):
+    path = _bundled_with(tmp_path, lambda data: codecs.BOM_UTF8 + data)
+    for command in ("validate", "summarize", "fit"):
+        plain = json.loads(_capture(capsys, [command, "--format", "json"])[1])
+        code, out, _ = _capture(capsys, [command, "--format", "json",
+                                         "--dataset", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["body"] == plain["body"]
+        assert doc["dataset_sha256"] == _sha256(path)
+        assert doc["dataset_sha256"] != plain["dataset_sha256"]
+
+
+def test_non_utf8_bytes_are_data_error(capsys, tmp_path):
+    path = _bundled_with(
+        tmp_path, lambda data: data.replace(b"\n2,", b"\n2\xff,", 1))
+    code, out, err = _capture(capsys, ["validate", "--dataset", path])
+    assert (code, out) == (1, "")
+    assert err == "error: line 3: invalid UTF-8 byte 0xff\n"
+    with pytest.raises(el.ParseError):
+        el.load_dataset(path)
+
+
 def test_violations_flip_exit_code(capsys, tmp_path, raw_records):
     lines = el.serialize_records(raw_records).splitlines()
     first = lines[1].split(",")
@@ -119,11 +174,13 @@ def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("EFFORTLAB_DATASET", None)
-    proc = subprocess.run([sys.executable, "-m", "effortlab", "validate"],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "Complete records: 77" in proc.stdout
+    for module in ("effortlab", "effortlab.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "validate"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "Complete records: 77" in proc.stdout
+        assert proc.stderr == ""
 
 
 def test_byte_stable_outputs(capsys):

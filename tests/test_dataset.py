@@ -62,6 +62,46 @@ def test_non_numeric_token_reports_row():
         _parse(f"{HEADER}\n{ROW_1}\n2,abc,0,86,4,5635,197,124,321,33,315,1\n")
 
 
+@pytest.mark.parametrize("bad_rows, message", [
+    # A bad token in the last column of row 2 is reported before a bad
+    # token in the first value column of row 3.
+    (["1,1,4,85,12,5152,253,52,305,34,302,x",
+      "2,y,0,86,4,5635,197,124,321,33,315,1"],
+     "row 2: non-numeric token 'x' in column Language"),
+    # A short row 3 is reported after a bad token in row 2.
+    (["1,1,4,85,12,5152,253,52,305,34,302,1,",
+      "2,0,0,86,4,5635,197,124,321,33,315"],
+     "row 2: expected 12 fields, got 13"),
+    (["?,1,4,85,12,5152,253,52,305,34,302,1",
+      "2,y,0,86,4,5635,197,124,321,33,315,1"],
+     "row 2: missing project id"),
+])
+def test_two_bad_rows_report_the_first(bad_rows, message):
+    text = "\n".join([HEADER, *bad_rows]) + "\n"
+    with pytest.raises(el.ParseError) as info:
+        _parse(text)
+    assert str(info.value) == message
+
+
+def test_duplicate_id_before_a_bad_row_is_reported_first():
+    text = f"{HEADER}\n{ROW_1}\n{ROW_1}\n2,abc,0,86,4,5635,197,124,321,33,315,1\n"
+    with pytest.raises(el.SchemaError, match="^duplicate project id 1$"):
+        _parse(text)
+
+
+def test_filter_complete_reports_first_bad_project():
+    bad_language = ROW_1[:-1] + "4"
+    bad_effort = ROW_2.replace(",5635,", ",0,")
+    records = _parse(f"{HEADER}\n{bad_language}\n{bad_effort}\n")
+    with pytest.raises(el.SchemaError,
+                       match="^project 1: language code 4 not in 1..3$"):
+        el.filter_complete(records)
+    records = _parse(f"{HEADER}\n{bad_effort}\n{bad_language}\n")
+    with pytest.raises(el.DomainError,
+                       match="^project 2: effort must be positive$"):
+        el.filter_complete(records)
+
+
 def test_wrong_arity_is_parse_error():
     with pytest.raises(el.ParseError):
         _parse(f"{HEADER}\n1,2,3\n")

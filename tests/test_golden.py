@@ -1,6 +1,7 @@
 """Byte-exact CLI outputs pinned against files in tests/golden/.
 
-The JSON bodies carry full-precision floats, so a change anywhere in the
+The JSON and CSV bodies carry full-precision floats, so a change anywhere
+in parsing, filtering, frame building, least squares, scoring or the
 network's arithmetic (initialisation, kernels, line search, stopping)
 shows up here as a diff. Regenerate a file only for an intended change
 to the numbers, and name that change in CHANGES.md.
@@ -22,6 +23,11 @@ CASES = {
                                "--format", "csv"],
     "fit.json": ["fit", "--format", "json"],
 }
+for _fmt, _ext in (("markdown", "md"), ("json", "json"), ("csv", "csv")):
+    CASES[f"validate.{_ext}"] = ["validate", "--format", _fmt]
+    CASES[f"summarize.{_ext}"] = ["summarize", "--format", _fmt]
+    CASES[f"metrics-size-only.{_ext}"] = ["metrics", "--features",
+                                          "size-only", "--format", _fmt]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import effortlab as el
@@ -75,6 +76,37 @@ def test_evaluate_bundles_all_criteria():
     assert report.mean_error == pytest.approx(el.mean_error(PAIRS))
     assert report.r_squared == pytest.approx(el.r_squared(PAIRS))
     assert report.n == 3
+
+
+def _random_pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    actual = rng.lognormal(8.0, 1.0, n)
+    predicted = actual * rng.lognormal(0.0, 0.4, n)
+    return [Pair(float(a), float(p)) for a, p in zip(actual, predicted)]
+
+
+@pytest.mark.parametrize("pairs", [PAIRS, _random_pairs(2000, 3),
+                                   _random_pairs(77, 11)])
+def test_evaluate_equals_composed_metrics_bit_for_bit(pairs):
+    report = el.evaluate(iter(pairs))
+    got = np.array([report.mmre, report.pred_25, report.rmse,
+                    report.mean_error, report.r_squared])
+    want = np.array([el.mmre(pairs), el.pred(pairs), el.rmse(pairs),
+                     el.mean_error(pairs), el.r_squared(pairs)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert report.n == len(pairs)
+
+
+def test_evaluate_reports_first_bad_pair():
+    # The first pair that fails any check is the one reported.
+    pairs = [Pair(10.0, 9.0), Pair(-3.0, 1.0), Pair(5.0, float("inf"))]
+    with pytest.raises(el.DomainError, match="got -3.0$"):
+        el.evaluate(pairs)
+    pairs[1], pairs[2] = pairs[2], pairs[1]
+    with pytest.raises(el.DomainError, match="must be finite$"):
+        el.evaluate(pairs)
+    with pytest.raises(el.DegenerateInputError):
+        el.evaluate([Pair(5.0, 4.0), Pair(5.0, 6.0)])
 
 
 def test_empty_input_rejected():

@@ -61,6 +61,76 @@ def test_candidate_frame_columns(complete_records):
     )
 
 
+def _rowwise_frame(records, columns):
+    """The frame builders' former row-by-row construction, kept as the
+    bitwise reference: one list of Python floats per record."""
+    def cell(name, rec):
+        if name == "intercept":
+            return 1.0
+        if name.startswith("ln_"):
+            attr = {"ln_size": "points_non_adjust"}.get(name, name[3:])
+            return math.log(getattr(rec, attr))
+        if name in ("lang_1", "lang_2"):
+            return float(el.encode_language(rec.language)[int(name[-1]) - 1])
+        return float(getattr(rec, name))
+
+    matrix = np.array([[cell(c, rec) for c in columns] for rec in records],
+                      dtype=float)
+    response = np.array([math.log(rec.effort) for rec in records],
+                        dtype=float)
+    return matrix, response
+
+
+def _random_records(n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        _record(project_id=i, team_exp=int(rng.integers(0, 5)),
+                manager_exp=int(rng.integers(0, 8)),
+                effort=float(rng.lognormal(8.0, 1.0)),
+                transactions=int(rng.integers(1, 900)),
+                entities=int(rng.integers(1, 500)),
+                points_non_adjust=float(rng.lognormal(5.5, 0.8)),
+                envergure=int(rng.integers(0, 60)),
+                language=int(rng.integers(1, 4)))
+        for i in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize("source", ["bundled", "random"])
+def test_frames_match_rowwise_reference_bit_for_bit(source,
+                                                    complete_records):
+    records = (complete_records if source == "bundled"
+               else _random_records(500, 7))
+    frames = [el.build_frame(records, s.features) for s in el.scenarios()]
+    frames.append(el.build_candidate_frame(records))
+    for frame in frames:
+        matrix, response = _rowwise_frame(records, frame.columns)
+        assert frame.matrix.flags.c_contiguous
+        assert frame.matrix.dtype == np.float64
+        assert np.array_equal(frame.matrix.view(np.int64),
+                              matrix.view(np.int64))
+        assert np.array_equal(frame.response.view(np.int64),
+                              response.view(np.int64))
+        assert frame.project_ids == tuple(r.project_id for r in records)
+
+
+def test_first_bad_record_in_order_is_reported():
+    # Record 2 fails only on its effort, the last value the row-wise
+    # build reached; record 3 fails on its size, the first design column.
+    records = [_record(), _record(project_id=2, effort=0.0),
+               _record(project_id=3, points_non_adjust=-1.0)]
+    with pytest.raises(el.TransformError,
+                       match=r"^project 2: cannot take ln of effort = 0\.0$"):
+        el.build_frame(records)
+    records[1] = _record(project_id=2, entities=0)
+    with pytest.raises(el.TransformError,
+                       match=r"^project 2: cannot take ln of entities = 0$"):
+        el.build_candidate_frame(records)
+    records[1] = _record(project_id=2, language=7)
+    with pytest.raises(el.DomainError, match="got 7$"):
+        el.build_frame(records)
+
+
 def test_nonpositive_effort_is_transform_error():
     records = [_record(), _record(project_id=2, effort=-5.0)]
     with pytest.raises(el.TransformError) as info:
@@ -178,6 +248,22 @@ def test_stepwise_selects_expected_terms(complete_records):
     trace = el.stepwise_select(el.build_candidate_frame(complete_records))
     assert set(trace.selected) == {"ln_size", "language", "envergure"}
     assert trace.alpha == 0.05
+
+
+def test_stepwise_trace_is_pinned(complete_records):
+    trace = el.stepwise_select(el.build_candidate_frame(complete_records))
+    assert [(s.action, s.predictor, s.p_value.hex())
+            for s in trace.steps] == [
+        ("add", "ln_size", "0x1.10ce54d5e5aeep-29"),
+        ("add", "language", "0x1.86f08d338da3dp-42"),
+        ("add", "envergure", "0x1.7996a16a04b3cp-23"),
+    ]
+    assert trace.selected == ("ln_size", "language", "envergure")
+    assert [float(c).hex() for c in trace.fit.coefficients] == [
+        "0x1.9b59120aa8c5ep+0", "0x1.b05ea4f174a0ep-1",
+        "0x1.5a8ca1f6a068fp+0", "0x1.63875cdfc049cp+0",
+        "0x1.a0fbdf438d5bdp-6",
+    ]
 
 
 def test_stepwise_trace_records_decisions(complete_records):
