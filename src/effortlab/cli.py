@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Sequence
 
 from .ablation import (AblationTable, run_ablation, run_scenario, scenarios)
@@ -31,6 +31,9 @@ SCHEMA_ID = "effortlab-report-v1"
 
 FORMATS = ("markdown", "csv", "json")
 
+# Enough digits to write any finite float at a few decimal places.
+_FMT_CONTEXT = Context(prec=400)
+
 _METRIC_HEADER = ["MMRE", "PRED(0.25)", "RMSE", "Mean error", "R^2"]
 _MODEL_TITLES = {"regression": "Regression model", "ann": "ANN model"}
 
@@ -38,7 +41,9 @@ _MODEL_TITLES = {"regression": "Regression model", "ann": "ANN model"}
 def _fmt(value: float, places: int) -> str:
     """Fixed-point rendering with half-up rounding."""
     quantum = Decimal(1).scaleb(-places) if places else Decimal(1)
-    d = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
+    d = Decimal(repr(float(value)))
+    if d.is_finite():
+        d = d.quantize(quantum, rounding=ROUND_HALF_UP, context=_FMT_CONTEXT)
     if d == 0:
         d = abs(d)
     return str(d)

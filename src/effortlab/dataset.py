@@ -149,14 +149,18 @@ def _parse_value(token: str, column: str, row: int):
     if token in MISSING_MARKERS:
         return None
     try:
-        if column not in _FLOAT_COLUMNS:
-            return int(token)
-        value = float(token)
+        value = float(token) if column in _FLOAT_COLUMNS else int(token)
     except ValueError:
         raise ParseError(
             f"non-numeric token {token!r} in column {column}", row=row
         ) from None
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        raise ParseError(
+            f"out-of-range token {token!r} in column {column}", row=row
+        ) from None
+    if not finite:
         raise ParseError(
             f"non-finite token {token!r} in column {column}", row=row
         )
@@ -166,13 +170,17 @@ def _parse_value(token: str, column: str, row: int):
 def _convert_column(tokens: tuple[str, ...], convert, column: str,
                     row_nos: list[int]) -> list:
     """One column of a chunk in one pass of `convert`; the per-cell path
-    only when some token is missing, malformed or not finite."""
+    only when some token is missing, malformed, not finite or (an int)
+    beyond the float range."""
     try:
         values = list(map(convert, tokens))
-        if convert is float and not all(map(math.isfinite, values)):
-            raise ValueError
+        if convert is float:
+            if not all(map(math.isfinite, values)):
+                raise ValueError
+        else:
+            math.fsum(values)  # OverflowError for an int beyond float range
         return values
-    except ValueError:
+    except (ValueError, OverflowError):
         return [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]
 
 
@@ -240,12 +248,13 @@ def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
 
 
 def _parse_csv(stream: IO[str]) -> list[RawRecord]:
-    lines = [ln.rstrip("\r\n") for ln in stream]
-    lines = [ln for ln in lines if ln.strip()]
+    # rows are numbered by physical line, blank lines included
+    lines = [(row_no, ln.rstrip("\r\n"))
+             for row_no, ln in enumerate(stream, start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty file", row=1)
-    columns = [c.strip() for c in lines[0].split(",")]
-    rows = ((i + 2, line.split(",")) for i, line in enumerate(lines[1:]))
+    columns = [c.strip() for c in lines[0][1].split(",")]
+    rows = ((row_no, line.split(",")) for row_no, line in lines[1:])
     return _records_from_rows(rows, columns)
 
 
@@ -370,10 +379,13 @@ def summarize(records: list[ProjectRecord]) -> DatasetSummary:
     for name in SUMMARY_ATTRIBUTES:
         values = list(map(float, map(attrgetter(name), records)))
         mean = sum(values) / n
-        if n > 1:
-            sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-        else:
-            sd = 0.0
+        try:
+            sd = (math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+                  if n > 1 else 0.0)
+        except OverflowError:
+            sd = math.inf
+        if not math.isfinite(sd):  # also when the mean overflowed
+            raise DomainError(f"{name} values are too large to summarize")
         attributes[name] = AttributeSummary(
             count=n, mean=mean, minimum=min(values), maximum=max(values),
             sd=sd,

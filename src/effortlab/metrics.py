@@ -112,14 +112,17 @@ def evaluate(pairs: Iterable[EvaluationPair]) -> MetricsReport:
     n = len(out)
     errors = [a - p for a, p in zip(actual, predicted)]
     mres = [abs(e) / a for e, a in zip(errors, actual)]
-    sse = sum(e ** 2 for e in errors)
-    mean_actual = sum(actual) / n
-    sst = sum((a - mean_actual) ** 2 for a in actual)
+    try:
+        sse = sum(e ** 2 for e in errors)
+        mean_actual = sum(actual) / n
+        sst = sum((a - mean_actual) ** 2 for a in actual)
+    except OverflowError:
+        sse = sst = math.inf
     if sst == 0.0:
         raise DegenerateInputError(
             "actuals are constant; r_squared is undefined"
         )
-    return MetricsReport(
+    report = MetricsReport(
         mmre=sum(mres) / n,
         pred_25=sum(1 for m in mres if m <= PRED_LEVEL) / n,
         rmse=math.sqrt(sse / n),
@@ -127,3 +130,7 @@ def evaluate(pairs: Iterable[EvaluationPair]) -> MetricsReport:
         r_squared=1.0 - sse / sst,
         n=n,
     )
+    if not all(map(math.isfinite, (report.mmre, report.rmse,
+                                   report.mean_error, report.r_squared))):
+        raise DomainError("accuracy criteria overflow the float range")
+    return report

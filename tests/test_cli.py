@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import effortlab as el
+from effortlab import cli
 from effortlab.cli import run
 from effortlab.dataset import bundled_dataset_path
 
@@ -219,6 +220,22 @@ def test_metric_rounding_rules(capsys):
     assert "." in mmre and len(mmre.split(".")[1]) == 2
     assert "." not in pred and "." not in rmse and "." not in mean
     assert len(r2.split(".")[1]) == 1
+
+
+def test_fixed_point_rendering_covers_the_float_range():
+    assert cli._fmt(1e30, 2) == "1" + "0" * 30 + ".00"
+    assert cli._fmt(-1.7976931348623157e308, 4) == (
+        "-17976931348623157" + "0" * 292 + ".0000")
+    assert cli._fmt(float("nan"), 2) == "NaN"
+    assert cli._fmt(-0.004, 2) == "0.00"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--model", "ann", "--seed", "-1"],
+    ["ablate", "--model", "ann", "--seeds", "2", "--seed", "-1"],
+], ids=["fit", "ablate"])
+def test_negative_seed_is_data_error(capsys, argv):
+    assert _capture(capsys, argv) == (1, "", "error: seed must be >= 0\n")
 
 
 def test_ablation_csv_shape(capsys):

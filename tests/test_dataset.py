@@ -1,5 +1,6 @@
 """Parsing, validation, and summary of the project dataset."""
 
+import dataclasses
 import io
 
 import pytest
@@ -60,6 +61,23 @@ def test_duplicate_project_id_is_schema_error():
 def test_non_numeric_token_reports_row():
     with pytest.raises(el.ParseError, match="row 3"):
         _parse(f"{HEADER}\n{ROW_1}\n2,abc,0,86,4,5635,197,124,321,33,315,1\n")
+
+
+def test_error_row_is_the_physical_line_after_blank_lines():
+    text = f"{HEADER}\n\n{ROW_1}\n  \n2,x,0,86,4,5635,197,124,321,33,315,1\n"
+    with pytest.raises(el.ParseError) as info:
+        _parse(text)
+    assert str(info.value) == "row 5: non-numeric token 'x' in column TeamExp"
+    assert info.value.row == 5
+
+
+def test_int_beyond_the_float_range_is_parse_error():
+    big = "9" * 400
+    bad = ROW_2.replace("2,0,", f"2,{big},", 1)
+    with pytest.raises(el.ParseError) as info:
+        _parse(f"{HEADER}\n{ROW_1}\n{bad}\n")
+    assert str(info.value) == (
+        f"row 3: out-of-range token '{big}' in column TeamExp")
 
 
 @pytest.mark.parametrize("bad_rows, message", [
@@ -229,6 +247,16 @@ def test_summary_bounds_are_consistent(complete_records):
     for stats in summary.attributes.values():
         assert stats.minimum <= stats.mean <= stats.maximum
         assert stats.sd >= 0.0
+
+
+@pytest.mark.parametrize("efforts", [(1e200, 5152.0), (1e308, 1e308)],
+                         ids=["square", "mean"])
+def test_summary_beyond_the_float_range_is_domain_error(complete_records,
+                                                        efforts):
+    records = [dataclasses.replace(r, effort=e)
+               for r, e in zip(complete_records, efforts)]
+    with pytest.raises(el.DomainError, match="^effort values are too large"):
+        el.summarize(records)
 
 
 def test_language_distribution(complete_records):

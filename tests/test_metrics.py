@@ -119,5 +119,15 @@ def test_non_finite_rejected():
         el.rmse([Pair(10.0, float("nan"))])
 
 
+@pytest.mark.parametrize("pairs", [
+    [Pair(1e200, 1.0), Pair(2.0, 1.0)],         # a square overflows
+    [Pair(1e308, -1e308), Pair(2.0, 1.0)],      # an error overflows
+    [Pair(5e-324, 1e300), Pair(2.0, 1.0)],      # an MRE overflows
+], ids=["square", "error", "mre"])
+def test_evaluate_rejects_criteria_beyond_the_float_range(pairs):
+    with pytest.raises(el.DomainError, match="overflow the float range"):
+        el.evaluate(pairs)
+
+
 def test_rmse_dominates_mean_error():
     assert el.rmse(PAIRS) >= abs(el.mean_error(PAIRS))
