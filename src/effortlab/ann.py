@@ -5,10 +5,9 @@ hidden layer followed by a linear output. Training minimizes half the
 sum of squared errors with Polak-Ribiere conjugate gradient, an Armijo
 backtracking line search, and early stopping on a seeded holdout split.
 The line search is warm-started: each one begins at twice the previous
-accepted step, capped at 1 (Nocedal & Wright, Numerical Optimization,
-section 3.5). On the bundled data an iteration then costs about two
-loss evaluations, where a restart from 1 took six or seven. Everything
-is deterministic given the seed.
+accepted step, capped at 1, a heuristic of this package in the spirit of
+the initial-step choices in Nocedal & Wright, Numerical Optimization,
+section 3.5. Everything is deterministic given the seed.
 
 The kernels are tuned for small arrays but stay bit-identical to the
 reference formulas; tests/test_ann.py and tests/golden/ pin them.

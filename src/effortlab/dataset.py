@@ -36,6 +36,7 @@ COLUMNS = (
 MISSING_MARKERS = frozenset({"", "?"})
 
 _FLOAT_COLUMNS = frozenset({"Effort", "PointsNonAdjust", "PointsAdjust"})
+_ID_COLUMN = "Project"
 
 # Rows converted column by column at a time; bounds the tokens held at once.
 _CHUNK_ROWS = 2048
@@ -154,6 +155,8 @@ def _parse_value(token: str, column: str, row: int):
         raise ParseError(
             f"non-numeric token {token!r} in column {column}", row=row
         ) from None
+    if column == _ID_COLUMN:  # ids are never used as numbers
+        return value
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond the float range
@@ -170,15 +173,16 @@ def _parse_value(token: str, column: str, row: int):
 def _convert_column(tokens: tuple[str, ...], convert, column: str,
                     row_nos: list[int]) -> list:
     """One column of a chunk in one pass of `convert`; the per-cell path
-    only when some token is missing, malformed, not finite or (an int)
-    beyond the float range."""
+    only when some token is missing, malformed, not finite or (an int
+    other than an id) beyond the float range."""
     try:
         values = list(map(convert, tokens))
         if convert is float:
             if not all(map(math.isfinite, values)):
                 raise ValueError
-        else:
-            math.fsum(values)  # OverflowError for an int beyond float range
+        elif column != _ID_COLUMN:
+            # OverflowError when the largest magnitude is beyond the range
+            float(max(values)), float(min(values))
         return values
     except (ValueError, OverflowError):
         return [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]

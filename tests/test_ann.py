@@ -174,9 +174,8 @@ def test_training_sse_never_increases(full_frame):
 
 
 def test_line_search_is_warm_started(full_frame, monkeypatch):
-    # Each search starts at twice the last accepted step, capped at 1:
-    # about two loss evaluations per iteration, where restarting every
-    # search at 1 took six or seven on these seeds.
+    # Each search starts at twice the last accepted step, capped at 1,
+    # so an iteration costs about two loss evaluations on these seeds.
     calls = []
     forward = ann.forward
 

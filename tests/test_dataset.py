@@ -80,6 +80,31 @@ def test_int_beyond_the_float_range_is_parse_error():
         f"row 3: out-of-range token '{big}' in column TeamExp")
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_integer_range_ends_at_the_float_range(sign):
+    # the largest int that rounds to a finite float loads; one more is out
+    edge = 2 ** 1024 - 2 ** 970 - 1
+    rows = [ROW_1.replace("1,1,", f"1,{sign}{edge},", 1),
+            ROW_2.replace("2,0,", f"2,{sign}{edge},", 1)]
+    records = _parse("\n".join([HEADER, *rows]) + "\n")
+    assert [r.team_exp for r in records] == [int(f"{sign}{edge}")] * 2
+    rows[1] = ROW_2.replace("2,0,", f"2,{sign}{edge + 1},", 1)
+    with pytest.raises(el.ParseError, match="row 3: out-of-range token"):
+        _parse("\n".join([HEADER, *rows]) + "\n")
+
+
+def test_project_id_is_not_range_checked():
+    big = "9" * 400
+    row = ROW_2.replace("2,", f"{big},", 1)
+    records = _parse(f"{HEADER}\n{ROW_1}\n{row}\n")
+    assert records[1].project_id == int(big)
+    # the row-by-row path, taken for the bad TeamExp, skips the id too
+    bad = ROW_2.replace("2,0,", f"{big},x,", 1)
+    with pytest.raises(el.ParseError) as info:
+        _parse(f"{HEADER}\n{ROW_1}\n{bad}\n")
+    assert str(info.value) == "row 3: non-numeric token 'x' in column TeamExp"
+
+
 @pytest.mark.parametrize("bad_rows, message", [
     # A bad token in the last column of row 2 is reported before a bad
     # token in the first value column of row 3.
