@@ -9,6 +9,13 @@ accepted step, capped at 1, a heuristic of this package in the spirit of
 the initial-step choices in Nocedal & Wright, Numerical Optimization,
 section 3.5. Everything is deterministic given the seed.
 
+Each training trial (the initial point and every line-search step)
+makes one hidden-layer pass over the training rows stacked above the
+holdout rows; it gives the loss, the holdout error and the activations
+that backpropagation reuses at the accepted step. The output layer runs
+per block, since a matrix-vector product's rounding depends on its row
+count and one product over all rows would change the trained weights.
+
 The kernels are tuned for small arrays but stay bit-identical to the
 reference formulas; tests/test_ann.py and tests/golden/ pin them.
 """
@@ -84,15 +91,6 @@ def init_network(n_inputs: int, hidden_nodes: int, seed: int) -> np.ndarray:
     return rng.uniform(-0.5, 0.5, parameter_count(n_inputs, hidden_nodes))
 
 
-def _unpack(params: np.ndarray, n_inputs: int, hidden_nodes: int):
-    h, d = hidden_nodes, n_inputs
-    w_hidden = params[:h * d].reshape(h, d)
-    b_hidden = params[h * d:h * d + h]
-    w_out = params[h * d + h:h * d + 2 * h]
-    b_out = params[-1]
-    return w_hidden, b_hidden, w_out, b_out
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # e = exp(-|z|) cannot overflow: 1/(1+e) for z >= 0, e/(1+e) below
     e = np.exp(-np.abs(z))
@@ -107,31 +105,24 @@ def _matrix(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def forward(params: np.ndarray, inputs: np.ndarray,
-            hidden_nodes: int) -> np.ndarray:
-    """Network outputs (ln-effort scale) for standardized inputs."""
-    X = _matrix(inputs)
-    w_hidden, b_hidden, w_out, b_out = _unpack(params, X.shape[1],
-                                               hidden_nodes)
-    z = X @ w_hidden.T
-    z += b_hidden
-    return _sigmoid(z) @ w_out + b_out
+def _hidden(params: np.ndarray, X: np.ndarray, h: int) -> np.ndarray:
+    # hidden weights (h rows of X's width) and biases lead the layout
+    hd = h * X.shape[1]
+    z = X @ params[:hd].reshape(h, -1).T
+    z += params[hd:hd + h]
+    return _sigmoid(z)
 
 
-def gradient(params: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
-             hidden_nodes: int) -> np.ndarray:
-    """Gradient of half the sum of squared errors, by backpropagation."""
-    X = _matrix(inputs)
-    y = np.asarray(targets, dtype=float)
-    w_hidden, b_hidden, w_out, _ = _unpack(params, X.shape[1], hidden_nodes)
-    z = X @ w_hidden.T
-    z += b_hidden
-    activations = _sigmoid(z)
+def _output(params: np.ndarray, a: np.ndarray, h: int) -> np.ndarray:
+    # output weights and bias are the last h + 1 parameters
+    return a @ params[-1 - h:-1] + params[-1]
 
-    delta_out = activations @ w_out + params[-1] - y
+
+def _backprop(params: np.ndarray, X: np.ndarray, activations: np.ndarray,
+              delta_out: np.ndarray, h: int) -> np.ndarray:
     g_w_out = activations.T @ delta_out
     g_b_out = delta_out.sum()
-    delta_hidden = delta_out[:, None] * w_out
+    delta_hidden = delta_out[:, None] * params[-1 - h:-1]
     delta_hidden *= activations
     delta_hidden *= 1 - activations
     g_w_hidden = delta_hidden.T @ X
@@ -141,15 +132,38 @@ def gradient(params: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
     ])
 
 
+def forward(params: np.ndarray, inputs: np.ndarray,
+            hidden_nodes: int) -> np.ndarray:
+    """Network outputs (ln-effort scale) for standardized inputs."""
+    activations = _hidden(params, _matrix(inputs), hidden_nodes)
+    return _output(params, activations, hidden_nodes)
+
+
+def gradient(params: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
+             hidden_nodes: int) -> np.ndarray:
+    """Gradient of half the sum of squared errors, by backpropagation."""
+    X = _matrix(inputs)
+    activations = _hidden(params, X, hidden_nodes)
+    delta_out = (_output(params, activations, hidden_nodes)
+                 - np.asarray(targets, dtype=float))
+    return _backprop(params, X, activations, delta_out, hidden_nodes)
+
+
 def _half_sse(params: np.ndarray, X: np.ndarray, y: np.ndarray,
               hidden_nodes: int) -> float:
+    # the plain loss, kept as the finite-difference oracle of the tests
     resid = forward(params, X, hidden_nodes) - y
     return 0.5 * float(resid @ resid)
 
 
-def _sse(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-         hidden_nodes: int) -> float:
-    return 2.0 * _half_sse(params, X, y, hidden_nodes)
+def _evaluate(params: np.ndarray, Z_fit: np.ndarray, y_fit: np.ndarray,
+              n_train: int, h: int):
+    """Half training SSE, holdout SSE, training activations, residuals."""
+    a = _hidden(params, Z_fit, h)
+    r_train = _output(params, a[:n_train], h) - y_fit[:n_train]
+    r_hold = _output(params, a[n_train:], h) - y_fit[n_train:]
+    return (0.5 * float(r_train @ r_train), float(r_hold @ r_hold),
+            a[:n_train], r_train)
 
 
 def _standardize(matrix: np.ndarray):
@@ -190,9 +204,12 @@ def train(frame: ModelFrame,
     train_idx = np.sort(order[k:])
 
     mean, sd = _standardize(X_all[train_idx])
-    Z = (X_all - mean) / sd
-    Z_train, y_train = Z[train_idx], y_all[train_idx]
-    Z_hold, y_hold = Z[holdout_idx], y_all[holdout_idx]
+    # training rows first, then holdout rows: one hidden pass covers both
+    fit_idx = np.concatenate([train_idx, holdout_idx])
+    Z_fit = (X_all[fit_idx] - mean) / sd
+    y_fit = y_all[fit_idx]
+    n_train = len(train_idx)
+    Z_train = Z_fit[:n_train]
 
     d = len(feature_columns)
     h = config.hidden_nodes if config.hidden_nodes is not None else d
@@ -201,16 +218,17 @@ def train(frame: ModelFrame,
     w = init_network(d, h, config.seed)
     n_params = len(w)
 
-    loss = _half_sse(w, Z_train, y_train, h)
+    loss, hold_sse, a, r = _evaluate(w, Z_fit, y_fit, n_train, h)
     train_hist = [2.0 * loss]
-    hold_hist = [_sse(w, Z_hold, y_hold, h)]
-    best_sse = hold_hist[0]
-    best_w = w.copy()
+    hold_hist = [hold_sse]
+    best_sse = hold_sse
+    # w is only ever rebound to a new array, never written in place
+    best_w = w
     best_iter = 0
     patience = 0
     stop = STOP_MAX_ITERATIONS
 
-    g = gradient(w, Z_train, y_train, h)
+    g = _backprop(w, Z_train, a, r, h)
     direction = -g
     step = 0.5  # so the first search starts at 1
     iterations = 0
@@ -226,18 +244,21 @@ def train(frame: ModelFrame,
             slope = float(g @ direction)
 
         step = min(1.0, 2.0 * step)
-        new_loss = _half_sse(w + step * direction, Z_train, y_train, h)
+        w_new = w + step * direction
+        new_loss, hold_sse, a, r = _evaluate(w_new, Z_fit, y_fit, n_train, h)
         while new_loss > loss + _ARMIJO_C * step * slope:
             step *= 0.5
             if step < _MIN_STEP:
                 break
-            new_loss = _half_sse(w + step * direction, Z_train, y_train, h)
+            w_new = w + step * direction
+            new_loss, hold_sse, a, r = _evaluate(w_new, Z_fit, y_fit,
+                                                 n_train, h)
         if step < _MIN_STEP:
             stop = STOP_IMPROVEMENT_BELOW_DELTA
             break
 
-        w = w + step * direction
-        g_new = gradient(w, Z_train, y_train, h)
+        w = w_new
+        g_new = _backprop(w, Z_train, a, r, h)
         if it % n_params == 0:
             beta = 0.0
         else:
@@ -250,12 +271,11 @@ def train(frame: ModelFrame,
         relative = improvement / max(loss, _MIN_STEP)
         loss = new_loss
         train_hist.append(2.0 * loss)
-        hold_sse = _sse(w, Z_hold, y_hold, h)
         hold_hist.append(hold_sse)
 
         if hold_sse < best_sse:
             best_sse = hold_sse
-            best_w = w.copy()
+            best_w = w
             best_iter = it
             patience = 0
         else:

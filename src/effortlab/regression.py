@@ -252,9 +252,11 @@ def vif(frame: ModelFrame) -> dict[str, float]:
             continue
         others = [k for k in range(len(frame.columns)) if k != j]
         target = frame.matrix[:, j]
-        sst = float(np.sum((target - target.mean()) ** 2))
-        if sst == 0.0:
+        # on the values: a rounded mean leaves a constant column an SST
+        # that is tiny but not zero
+        if target.min() == target.max():
             raise DomainError(f"column {name!r} is constant")
+        sst = float(np.sum((target - target.mean()) ** 2))
         sol = solve_least_squares(frame.matrix[:, others], target)
         r2 = 1.0 - sol.residual_sum_of_squares / sst
         out[name] = 1.0 / max(1.0 - r2, 1e-12)
@@ -268,6 +270,9 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
     n, p = frame.matrix.shape
     if n <= p:
         raise DomainError(f"need more rows than columns, got {n}x{p}")
+    y = frame.response
+    if y.min() == y.max():
+        raise DomainError("response is constant")
     try:
         sol = solve_least_squares(frame.matrix, frame.response)
     except CollinearityError as exc:
@@ -282,10 +287,7 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
     t = sol.coefficients / se
     pvals = np.array([t_two_sided_p(float(tj), df_resid) for tj in t])
 
-    y = frame.response
     sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        raise DomainError("response is constant")
     r2 = 1.0 - sol.residual_sum_of_squares / sst
     if p > 1:
         f_stat = ((sst - sol.residual_sum_of_squares) / (p - 1)) / resid_var

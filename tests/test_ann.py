@@ -50,6 +50,91 @@ def _reference_gradient(params, X, y, h):
                            [delta_out.sum()]])
 
 
+def _sse(params, X, y, h):
+    return 2.0 * _half_sse(params, X, y, h)
+
+
+def _reference_train(frame, config):
+    # the training loop as it was before trials shared one hidden pass:
+    # separate loss, gradient and holdout passes; must match bit for bit
+    keep = [frame.columns.index(c) for c in frame.predictor_columns()]
+    X_all, y_all = frame.matrix[:, keep], frame.response
+    n = len(y_all)
+    rng = np.random.default_rng(config.seed)
+    k = max(1, round(config.holdout_fraction * n))
+    order = rng.permutation(n)
+    holdout_idx, train_idx = np.sort(order[:k]), np.sort(order[k:])
+    mean = X_all[train_idx].mean(axis=0)
+    sd = X_all[train_idx].std(axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    Z = (X_all - mean) / sd
+    Z_train, y_train = Z[train_idx], y_all[train_idx]
+    Z_hold, y_hold = Z[holdout_idx], y_all[holdout_idx]
+    d = len(keep)
+    h = config.hidden_nodes if config.hidden_nodes is not None else d
+    w = el.init_network(d, h, config.seed)
+    n_params = len(w)
+
+    loss = _half_sse(w, Z_train, y_train, h)
+    train_hist = [2.0 * loss]
+    hold_hist = [_sse(w, Z_hold, y_hold, h)]
+    best_sse, best_w, best_iter = hold_hist[0], w.copy(), 0
+    patience = 0
+    stop = STOP_MAX_ITERATIONS
+    g = el.gradient(w, Z_train, y_train, h)
+    direction = -g
+    step = 0.5
+    iterations = 0
+    for it in range(1, config.max_iterations + 1):
+        g_sq = float(g @ g)
+        if np.sqrt(g_sq) < config.min_gradient:
+            stop = STOP_GRADIENT_BELOW_MIN
+            break
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            direction = -g
+            slope = float(g @ direction)
+        step = min(1.0, 2.0 * step)
+        new_loss = _half_sse(w + step * direction, Z_train, y_train, h)
+        while new_loss > loss + 1e-4 * step * slope:
+            step *= 0.5
+            if step < 1e-20:
+                break
+            new_loss = _half_sse(w + step * direction, Z_train, y_train, h)
+        if step < 1e-20:
+            stop = STOP_IMPROVEMENT_BELOW_DELTA
+            break
+        w = w + step * direction
+        g_new = el.gradient(w, Z_train, y_train, h)
+        if it % n_params == 0:
+            beta = 0.0
+        else:
+            beta = max(0.0, float(g_new @ (g_new - g)) / g_sq)
+        direction = -g_new + beta * direction
+        g = g_new
+        iterations = it
+        improvement = loss - new_loss
+        relative = improvement / max(loss, 1e-20)
+        loss = new_loss
+        train_hist.append(2.0 * loss)
+        hold_sse = _sse(w, Z_hold, y_hold, h)
+        hold_hist.append(hold_sse)
+        if hold_sse < best_sse:
+            best_sse, best_w, best_iter = hold_sse, w.copy(), it
+            patience = 0
+        else:
+            patience += 1
+            if patience >= HOLDOUT_PATIENCE:
+                stop = STOP_HOLDOUT_WORSENING
+                break
+        if (improvement < config.min_improvement_delta
+                or relative < config.convergence_tolerance):
+            stop = STOP_IMPROVEMENT_BELOW_DELTA
+            break
+    return best_w, (iterations, stop, tuple(train_hist), tuple(hold_hist),
+                    best_iter, best_sse)
+
+
 def _assert_bitwise(actual, expected):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.dtype == expected.dtype == np.float64
@@ -173,25 +258,50 @@ def test_training_sse_never_increases(full_frame):
     assert np.all(diffs <= 1e-12)
 
 
+def test_training_bitwise_matches_reference_loop(full_frame,
+                                                 complete_records):
+    # hidden sizes of 8 and more catch an output layer applied to the
+    # stacked training and holdout rows in one product
+    size_only = el.build_frame(complete_records, el.FeatureSet(
+        language=False, team_exp=False, manager_exp=False, envergure=False))
+    for frame in (full_frame, size_only):
+        for hidden in (None, 1, 8, 12, 30):
+            for fraction in (0.2, 0.35):
+                for seed in range(10):
+                    config = el.AnnConfig(hidden_nodes=hidden, seed=seed,
+                                          holdout_fraction=fraction)
+                    model, trace = el.train(frame, config)
+                    weights, expected = _reference_train(frame, config)
+                    _assert_bitwise(model.weights, weights)
+                    assert (trace.iterations, trace.stop_reason,
+                            trace.train_sse, trace.holdout_sse,
+                            trace.best_iteration,
+                            trace.best_holdout_sse) == expected
+                    _assert_bitwise(trace.train_sse, expected[2])
+                    _assert_bitwise(trace.holdout_sse, expected[3])
+
+
 def test_line_search_is_warm_started(full_frame, monkeypatch):
     # Each search starts at twice the last accepted step, capped at 1,
     # so an iteration costs about two loss evaluations on these seeds.
-    calls = []
-    forward = ann.forward
-
-    def counted(*args):
-        calls.append(None)
-        return forward(*args)
-
-    monkeypatch.setattr(ann, "forward", counted)
-    for seed in range(5):
-        calls.clear()
+    # Every trial is one _evaluate call and every iteration one _backprop
+    # call, plus one of each at the initial weights.
+    calls = {"_evaluate": 0, "_backprop": 0, "gradient": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(ann, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(ann, name, counted)
+    # line-search evaluations per seed, as counted before the shared pass
+    expected = {0: 140, 1: 145, 2: 203, 3: 177, 4: 153}
+    for seed, searches in expected.items():
+        calls.update(dict.fromkeys(calls, 0))
         _, trace = el.train(full_frame, el.AnnConfig(seed=seed))
-        # besides the searches: the initial loss and holdout error, and
-        # one holdout error per iteration
-        searches = len(calls) - trace.iterations - 2
         assert trace.iterations > 0
+        assert calls["_evaluate"] - 1 == searches
         assert searches <= 3 * trace.iterations
+        assert calls["_backprop"] == trace.iterations + 1
+        assert calls["gradient"] == 0
 
 
 def test_best_holdout_never_worse_than_initial(full_frame):

@@ -131,6 +131,23 @@ def test_non_utf8_bytes_are_data_error(capsys, tmp_path):
         el.load_dataset(path)
 
 
+def _constant_effort(data):
+    lines = data.decode().splitlines()
+    j = lines[0].split(",").index("Effort")
+    rows = [line.split(",") for line in lines[1:]]
+    for cells in rows:
+        cells[j] = "5000"
+    return ("\n".join([lines[0], *map(",".join, rows)]) + "\n").encode()
+
+
+@pytest.mark.parametrize("command", [["fit"], ["metrics"],
+                                     ["ablate", "--model", "regression"]])
+def test_constant_effort_is_named(capsys, tmp_path, command):
+    path = _bundled_with(tmp_path, _constant_effort)
+    code, out, err = _capture(capsys, [*command, "--dataset", path])
+    assert (code, out, err) == (1, "", "error: response is constant\n")
+
+
 def test_violations_flip_exit_code(capsys, tmp_path, raw_records):
     lines = el.serialize_records(raw_records).splitlines()
     first = lines[1].split(",")

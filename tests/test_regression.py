@@ -217,6 +217,31 @@ def test_fit_requires_leading_intercept(full_frame):
         el.fit_ols(shuffled)
 
 
+def test_constant_response_is_named(full_frame):
+    # ln(5000) repeated: the rounded mean leaves an SST of about 2e-28
+    constant = el.ModelFrame(
+        columns=full_frame.columns,
+        matrix=full_frame.matrix,
+        response=np.full(full_frame.n, math.log(5000.0)),
+        project_ids=full_frame.project_ids,
+    )
+    with pytest.raises(el.DomainError, match="^response is constant$"):
+        el.fit_ols(constant)
+
+
+def test_vif_names_constant_column(full_frame):
+    # 0.7 repeated does not have an exact mean either
+    frame = el.ModelFrame(
+        columns=("ln_size", "flat"),
+        matrix=np.column_stack([full_frame.matrix[:, 1],
+                                np.full(full_frame.n, 0.7)]),
+        response=full_frame.response,
+        project_ids=full_frame.project_ids,
+    )
+    with pytest.raises(el.DomainError, match="^column 'flat' is constant$"):
+        el.vif(frame)
+
+
 def test_collinear_frame_names_column(complete_records, full_frame):
     doubled = el.ModelFrame(
         columns=full_frame.columns + ("ln_size_copy",),
