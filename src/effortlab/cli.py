@@ -15,8 +15,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ablation import (AblationTable, run_ablation, run_scenario, scenarios)
 from .ann import AnnConfig
@@ -34,7 +35,6 @@ FORMATS = ("markdown", "csv", "json")
 # Enough digits to write any finite float at a few decimal places.
 _FMT_CONTEXT = Context(prec=400)
 
-_METRIC_HEADER = ["MMRE", "PRED(0.25)", "RMSE", "Mean error", "R^2"]
 _MODEL_TITLES = {"regression": "Regression model", "ann": "ANN model"}
 
 
@@ -49,28 +49,76 @@ def _fmt(value: float, places: int) -> str:
     return str(d)
 
 
-def _metric_row(report: MetricsReport) -> list[str]:
-    return [
-        _fmt(report.mmre, 2),
-        _fmt(report.pred_25 * 100, 0),
-        _fmt(report.rmse, 0),
-        _fmt(report.mean_error, 0),
-        _fmt(report.r_squared * 100, 1),
-    ]
+class _Column(NamedTuple):
+    heading: str | None  # markdown heading; None for a csv-only column
+    key: str  # csv header and JSON key
+    places: int | None = None  # markdown rounding; None for str()
+    scale: int = 1  # markdown multiplier, 100 for percentages
 
 
-def _machine(value: float) -> str:
-    return repr(float(value))
+@dataclass(frozen=True, slots=True)
+class _Report:
+    """One report as data, for the three writers below. A fact is
+    (markdown label, csv comment key, value), with None for the format
+    that omits it. Notes are markdown-only lines after the tables, and
+    sections split the markdown rows into tables under heading lines."""
+
+    kind: str
+    title: str
+    facts: Sequence[tuple[str | None, str | None, object]]
+    columns: Sequence[_Column]
+    rows: Sequence[Sequence]
+    body: dict
+    notes: Sequence[str] = ()
+    sections: Sequence[tuple[list[str], Sequence[Sequence]]] | None = None
 
 
-def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
+def _md_table(columns: Sequence[_Column],
+              rows: Sequence[Sequence]) -> list[str]:
+    shown = [c for c in columns if c.heading is not None]
     lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(" --- " for _ in header) + "|",
+        "| " + " | ".join(c.heading for c in shown) + " |",
+        "|" + "|".join(" --- " for _ in shown) + "|",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        cells = ["" if v is None else str(v) if c.places is None
+                 else _fmt(v * c.scale, c.places)
+                 for c, v in zip(columns, row) if c.heading is not None]
+        lines.append("| " + " | ".join(cells) + " |")
     return lines
+
+
+def _write_markdown(report: _Report, checksum: str | None) -> str:
+    lines = [f"# {report.title}", ""]
+    lines.extend(f"{label}: {value}" for label, _, value in report.facts
+                 if label is not None)
+    sections = report.sections
+    if sections is None:
+        shown = any(c.heading is not None for c in report.columns)
+        sections = [((), report.rows)] if shown else []
+    for heading, rows in sections:
+        lines.extend(["", *heading, *_md_table(report.columns, rows)])
+    if report.notes:
+        lines.extend(["", *report.notes])
+    if checksum:
+        lines.extend(["", f"Dataset sha256: {checksum}"])
+    return "\n".join(lines)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    # repr of a numpy float names its type under numpy 2, so go via float
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _write_csv(report: _Report, checksum: str | None) -> str:
+    lines = [f"# dataset_sha256={checksum}"] if checksum else []
+    lines.extend(f"# {key}={_csv_cell(value)}" for _, key, value
+                 in report.facts if key is not None)
+    lines.append(",".join(c.key for c in report.columns))
+    lines.extend(",".join(map(_csv_cell, row)) for row in report.rows)
+    return "\n".join(lines)
 
 
 def _jsonable(value):
@@ -83,146 +131,90 @@ def _jsonable(value):
     return value
 
 
-def _json_report(kind: str, body: dict, checksum: str | None) -> str:
+def _write_json(report: _Report, checksum: str | None) -> str:
     doc = {
         "schema": SCHEMA_ID,
-        "kind": kind,
+        "kind": report.kind,
         "dataset_sha256": checksum,
-        "body": _jsonable(body),
+        "body": _jsonable(report.body),
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _md_footer(lines: list[str], checksum: str | None) -> str:
-    if checksum:
-        lines.extend(["", f"Dataset sha256: {checksum}"])
-    return "\n".join(lines)
+_WRITERS = {"markdown": _write_markdown, "csv": _write_csv,
+            "json": _write_json}
+
+_METRIC_COLUMNS = (
+    _Column(None, "n"),
+    _Column("MMRE", "mmre", 2),
+    _Column("PRED(0.25)", "pred_25", 0, 100),
+    _Column("RMSE", "rmse", 0),
+    _Column("Mean error", "mean_error", 0),
+    _Column("R^2", "r_squared", 1, 100),
+)
 
 
-def _csv_lines(header: str, rows: list[str], checksum: str | None,
-               extra_comments: Sequence[str] = ()) -> str:
-    lines = []
-    if checksum:
-        lines.append(f"# dataset_sha256={checksum}")
-    lines.extend(extra_comments)
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines)
+def _metric_values(report: MetricsReport) -> list:
+    return [report.n, report.mmre, report.pred_25, report.rmse,
+            report.mean_error, report.r_squared]
 
 
-def _metrics_body(report: MetricsReport) -> dict:
-    return {
-        "mmre": report.mmre,
-        "pred_25": report.pred_25,
-        "rmse": report.rmse,
-        "mean_error": report.mean_error,
-        "r_squared": report.r_squared,
-        "n": report.n,
-    }
+def _metrics_body(values: Sequence) -> dict:
+    return dict(zip((c.key for c in _METRIC_COLUMNS), values))
 
 
-def _render_ablation(table: AblationTable, format: str,
-                     checksum: str | None) -> str:
-    if format == "markdown":
-        lines = ["# Attribute ablation", "", f"Records: {table.n}"]
-        for model in table.models:
-            lines.extend(["", f"## {_MODEL_TITLES[model]}", ""])
-            if model == "ann" and table.seeds:
-                seed_list = ", ".join(str(s) for s in table.seeds)
-                lines.extend([f"Seeds: {seed_list}", ""])
-            rows = [[scen.name] + _metric_row(table.cell(scen.name, model))
-                    for scen in table.scenarios]
-            lines.extend(_md_table(["Scenario"] + _METRIC_HEADER, rows))
-        return _md_footer(lines, checksum)
-    if format == "csv":
-        rows = []
-        for scen in table.scenarios:
-            for model in table.models:
-                cell = table.cell(scen.name, model)
-                rows.append(",".join([
-                    scen.name, model, str(cell.n),
-                    _machine(cell.mmre), _machine(cell.pred_25),
-                    _machine(cell.rmse), _machine(cell.mean_error),
-                    _machine(cell.r_squared),
-                ]))
-        return _csv_lines(
-            "scenario,model,n,mmre,pred_25,rmse,mean_error,r_squared",
-            rows, checksum,
-        )
+def _ablation_report(table: AblationTable) -> _Report:
+    rows = [[scen.name, model, *_metric_values(table.cell(scen.name, model))]
+            for scen in table.scenarios for model in table.models]
+    sections = []
+    for model in table.models:
+        heading = [f"## {_MODEL_TITLES[model]}", ""]
+        if model == "ann" and table.seeds:
+            heading += ["Seeds: " + ", ".join(map(str, table.seeds)), ""]
+        sections.append((heading, [row for row in rows if row[1] == model]))
+    config = table.ann_config
     body = {
         "n": table.n,
         "models": list(table.models),
         "seeds": list(table.seeds),
-        "ann_config": None if table.ann_config is None else {
-            "hidden_nodes": table.ann_config.hidden_nodes,
-            "max_iterations": table.ann_config.max_iterations,
-            "convergence_tolerance": table.ann_config.convergence_tolerance,
-            "min_improvement_delta": table.ann_config.min_improvement_delta,
-            "min_gradient": table.ann_config.min_gradient,
-            "holdout_fraction": table.ann_config.holdout_fraction,
-        },
-        "cells": [
-            {
-                "scenario": scen.name,
-                "model": model,
-                "metrics": _metrics_body(table.cell(scen.name, model)),
-            }
-            for scen in table.scenarios
-            for model in table.models
-        ],
+        # the seed of the configuration is replaced by the list above
+        "ann_config": None if config is None else {
+            k: v for k, v in asdict(config).items() if k != "seed"},
+        "cells": [{"scenario": scenario, "model": model,
+                   "metrics": _metrics_body(values)}
+                  for scenario, model, *values in rows],
     }
-    return _json_report("ablation", body, checksum)
+    return _Report(
+        "ablation", "Attribute ablation", [("Records", None, table.n)],
+        [_Column("Scenario", "scenario"), _Column(None, "model"),
+         *_METRIC_COLUMNS],
+        rows, body, sections=sections)
 
 
-def _render_fit(fit: RegressionFit, format: str,
-                checksum: str | None) -> str:
-    if format == "markdown":
-        rows = []
-        for j, name in enumerate(fit.columns):
-            rows.append([
-                name,
-                _fmt(fit.coefficients[j], 4),
-                _fmt(fit.standard_errors[j], 4),
-                _fmt(fit.t_values[j], 2),
-                _fmt(fit.p_values[j], 3),
-                _fmt(fit.vif[name], 3) if name in fit.vif else "",
-            ])
-        lines = ["# Regression fit", "", f"Records: {fit.n}", ""]
-        lines.extend(_md_table(
-            ["Variable", "Coefficient", "Std. error", "t", "P value", "VIF"],
-            rows,
-        ))
-        lines.extend([
-            "",
-            f"R^2 (log scale): {_fmt(fit.r_squared, 4)}",
-            f"F statistic: {_fmt(fit.f_statistic, 2)}"
-            f" (p = {_fmt(fit.f_p_value, 3)})",
-            f"Residual degrees of freedom: {fit.df_residual}",
-        ])
-        return _md_footer(lines, checksum)
-    if format == "csv":
-        rows = []
-        for j, name in enumerate(fit.columns):
-            vif_txt = _machine(fit.vif[name]) if name in fit.vif else ""
-            rows.append(",".join([
-                name,
-                _machine(fit.coefficients[j]),
-                _machine(fit.standard_errors[j]),
-                _machine(fit.t_values[j]),
-                _machine(fit.p_values[j]),
-                vif_txt,
-            ]))
-        comments = [
-            f"# n={fit.n}",
-            f"# df_residual={fit.df_residual}",
-            f"# r_squared={_machine(fit.r_squared)}",
-            f"# f_statistic={_machine(fit.f_statistic)}",
-            f"# f_p_value={_machine(fit.f_p_value)}",
-        ]
-        return _csv_lines(
-            "variable,coefficient,std_error,t_value,p_value,vif",
-            rows, checksum, extra_comments=comments,
-        )
+_FIT_COLUMNS = (
+    _Column("Variable", "variable"),
+    _Column("Coefficient", "coefficient", 4),
+    _Column("Std. error", "std_error", 4),
+    _Column("t", "t_value", 2),
+    _Column("P value", "p_value", 3),
+    _Column("VIF", "vif", 3),
+)
+
+
+def _fit_report(fit: RegressionFit) -> _Report:
+    rows = [[name, fit.coefficients[j], fit.standard_errors[j],
+             fit.t_values[j], fit.p_values[j], fit.vif.get(name)]
+            for j, name in enumerate(fit.columns)]
+    facts = [("Records", "n", fit.n), (None, "df_residual", fit.df_residual),
+             (None, "r_squared", fit.r_squared),
+             (None, "f_statistic", fit.f_statistic),
+             (None, "f_p_value", fit.f_p_value)]
+    notes = [
+        f"R^2 (log scale): {_fmt(fit.r_squared, 4)}",
+        f"F statistic: {_fmt(fit.f_statistic, 2)}"
+        f" (p = {_fmt(fit.f_p_value, 3)})",
+        f"Residual degrees of freedom: {fit.df_residual}",
+    ]
     body = {
         "columns": list(fit.columns),
         "coefficients": [float(c) for c in fit.coefficients],
@@ -239,24 +231,19 @@ def _render_fit(fit: RegressionFit, format: str,
         "n": fit.n,
         "df_residual": fit.df_residual,
     }
-    return _json_report("fit", body, checksum)
+    return _Report("fit", "Regression fit", facts, _FIT_COLUMNS, rows, body,
+                   notes)
 
 
-def _render_metrics(report: MetricsReport, format: str,
-                    checksum: str | None) -> str:
-    if format == "markdown":
-        lines = ["# Accuracy metrics", "", f"Records: {report.n}", ""]
-        lines.extend(_md_table(_METRIC_HEADER, [_metric_row(report)]))
-        return _md_footer(lines, checksum)
-    if format == "csv":
-        row = ",".join([
-            str(report.n), _machine(report.mmre), _machine(report.pred_25),
-            _machine(report.rmse), _machine(report.mean_error),
-            _machine(report.r_squared),
-        ])
-        return _csv_lines("n,mmre,pred_25,rmse,mean_error,r_squared",
-                          [row], checksum)
-    return _json_report("metrics", _metrics_body(report), checksum)
+def _metrics_report(report: MetricsReport) -> _Report:
+    values = _metric_values(report)
+    return _Report("metrics", "Accuracy metrics",
+                   [("Records", None, report.n)], _METRIC_COLUMNS,
+                   [values], _metrics_body(values))
+
+
+_BUILDERS = ((AblationTable, _ablation_report), (RegressionFit, _fit_report),
+             (MetricsReport, _metrics_report))
 
 
 def render_report(report: AblationTable | RegressionFit | MetricsReport,
@@ -265,113 +252,62 @@ def render_report(report: AblationTable | RegressionFit | MetricsReport,
     """Render an analysis result in one of the three output formats."""
     if format not in FORMATS:
         raise EffortlabError(f"unknown format {format!r}")
-    if isinstance(report, AblationTable):
-        return _render_ablation(report, format, checksum)
-    if isinstance(report, RegressionFit):
-        return _render_fit(report, format, checksum)
-    if isinstance(report, MetricsReport):
-        return _render_metrics(report, format, checksum)
+    for kind, build in _BUILDERS:
+        if isinstance(report, kind):
+            return _WRITERS[format](build(report), checksum)
     raise EffortlabError(f"cannot render {type(report).__name__}")
+
+
+_VIOLATION_COLUMNS = tuple(_Column(None, key) for key in
+                           ("project_id", "attribute", "expected", "actual"))
 
 
 def _render_validation(n_parsed: int, n_complete: int,
                        violations: Sequence[Violation], format: str,
                        checksum: str | None) -> str:
-    if format == "markdown":
-        lines = [
-            "# Dataset validation",
-            "",
-            f"Parsed records: {n_parsed}",
-            f"Complete records: {n_complete}",
-            f"Violations: {len(violations)}",
-        ]
-        if violations:
-            lines.append("")
-            lines.extend(f"- {v}" for v in violations)
-        return _md_footer(lines, checksum)
-    if format == "csv":
-        comments = [f"# n_parsed={n_parsed}", f"# n_complete={n_complete}"]
-        rows = [",".join([str(v.project_id), v.attribute,
-                          _machine(v.expected), _machine(v.actual)])
-                for v in violations]
-        return _csv_lines("project_id,attribute,expected,actual",
-                          rows, checksum, extra_comments=comments)
-    body = {
-        "n_parsed": n_parsed,
-        "n_complete": n_complete,
-        "violations": [
-            {
-                "project_id": v.project_id,
-                "attribute": v.attribute,
-                "expected": v.expected,
-                "actual": v.actual,
-            }
-            for v in violations
-        ],
-    }
-    return _json_report("validate", body, checksum)
+    # an expected sum of two ints is an int: kept in JSON, a float in csv
+    rows = [[v.project_id, v.attribute, float(v.expected), v.actual]
+            for v in violations]
+    body = {"n_parsed": n_parsed, "n_complete": n_complete,
+            "violations": [asdict(v) for v in violations]}
+    report = _Report(
+        "validate", "Dataset validation",
+        [("Parsed records", "n_parsed", n_parsed),
+         ("Complete records", "n_complete", n_complete),
+         ("Violations", None, len(violations))],
+        _VIOLATION_COLUMNS, rows, body, [f"- {v}" for v in violations])
+    return _WRITERS[format](report, checksum)
+
+
+_SUMMARY_COLUMNS = (
+    _Column("Attribute", "attribute"),
+    _Column("N", "count"),
+    _Column("Mean", "mean", 2),
+    _Column("Min", "min", 2),
+    _Column("Max", "max", 2),
+    _Column("Std. dev", "sd", 2),
+)
 
 
 def _render_summary(n_parsed: int, summary: DatasetSummary, format: str,
                     checksum: str | None) -> str:
-    if format == "markdown":
-        rows = [
-            [name, str(s.count), _fmt(s.mean, 2), _fmt(s.minimum, 2),
-             _fmt(s.maximum, 2), _fmt(s.sd, 2)]
-            for name, s in summary.attributes.items()
-        ]
-        lines = [
-            "# Dataset summary",
-            "",
-            f"Parsed records: {n_parsed}",
-            f"Complete records: {summary.count}",
-            "",
-        ]
-        lines.extend(_md_table(
-            ["Attribute", "N", "Mean", "Min", "Max", "Std. dev"], rows,
-        ))
-        return _md_footer(lines, checksum)
-    if format == "csv":
-        comments = [f"# n_parsed={n_parsed}",
-                    f"# n_complete={summary.count}"]
-        rows = [",".join([name, str(s.count), _machine(s.mean),
-                          _machine(s.minimum), _machine(s.maximum),
-                          _machine(s.sd)])
-                for name, s in summary.attributes.items()]
-        return _csv_lines("attribute,count,mean,min,max,sd",
-                          rows, checksum, extra_comments=comments)
-    body = {
-        "n_parsed": n_parsed,
-        "n_complete": summary.count,
-        "attributes": [
-            {
-                "name": name,
-                "count": s.count,
-                "mean": s.mean,
-                "min": s.minimum,
-                "max": s.maximum,
-                "sd": s.sd,
-            }
-            for name, s in summary.attributes.items()
-        ],
-    }
-    return _json_report("summary", body, checksum)
-
-
-def _scenario_by_name(name: str):
-    for scen in scenarios():
-        if scen.name == name:
-            return scen
-    raise EffortlabError(f"unknown scenario {name!r}")
+    rows = [[name, s.count, s.mean, s.minimum, s.maximum, s.sd]
+            for name, s in summary.attributes.items()]
+    # the JSON key of the attribute column is "name"
+    keys = ["name", *(c.key for c in _SUMMARY_COLUMNS[1:])]
+    body = {"n_parsed": n_parsed, "n_complete": summary.count,
+            "attributes": [dict(zip(keys, row)) for row in rows]}
+    report = _Report(
+        "summary", "Dataset summary",
+        [("Parsed records", "n_parsed", n_parsed),
+         ("Complete records", "n_complete", summary.count)],
+        _SUMMARY_COLUMNS, rows, body)
+    return _WRITERS[format](report, checksum)
 
 
 def _ann_config(args: argparse.Namespace) -> AnnConfig:
-    overrides = {}
-    if getattr(args, "hidden", None) is not None:
-        overrides["hidden_nodes"] = args.hidden
-    if getattr(args, "max_iter", None) is not None:
-        overrides["max_iterations"] = args.max_iter
-    return AnnConfig(**overrides)
+    overrides = {"hidden_nodes": args.hidden, "max_iterations": args.max_iter}
+    return AnnConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _seed_list(args: argparse.Namespace) -> list[int]:
@@ -381,12 +317,21 @@ def _seed_list(args: argparse.Namespace) -> list[int]:
 
 
 def _dataset_path(args: argparse.Namespace) -> str:
-    if args.dataset:
-        return args.dataset
-    env = os.environ.get("EFFORTLAB_DATASET")
-    if env:
-        return env
-    return bundled_dataset_path()
+    return (args.dataset or os.environ.get("EFFORTLAB_DATASET")
+            or bundled_dataset_path())
+
+
+# name: (help, --model choices, default model); None for no model flags
+_COMMANDS = {
+    "validate": ("parse the dataset and check derived columns", None),
+    "summarize": ("per-attribute summary of the complete records", None),
+    "fit": ("fit one model and report it (regression: coefficient table; "
+            "ann: accuracy metrics)", (("regression", "ann"), "regression")),
+    "ablate": ("run all six feature scenarios",
+               (("regression", "ann", "both"), "both")),
+    "metrics": ("accuracy criteria for one scenario and model",
+                (("regression", "ann"), "regression")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -397,21 +342,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "accuracy metrics, and attribute-ablation tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, model) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--dataset", metavar="<path>",
                        help="dataset file (default: $EFFORTLAB_DATASET, "
                             "then the bundled copy)")
         p.add_argument("--format", choices=FORMATS, default="markdown")
         p.add_argument("--out", metavar="<path>",
                        help="write the report here instead of stdout")
-
-    def add_model_flags(p: argparse.ArgumentParser, models: tuple[str, ...],
-                        default: str) -> None:
-        p.add_argument("--model", choices=models, default=default)
-        p.add_argument("--features",
-                       choices=[s.name for s in scenarios()],
-                       default="full")
+        if model is None:
+            continue
+        choices, default = model
+        p.add_argument("--model", choices=choices, default=default)
+        if name != "ablate":
+            p.add_argument("--features",
+                           choices=[s.name for s in scenarios()],
+                           default="full")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeds", type=int, default=1, metavar="<k>",
                        help="number of consecutive seeds; ann metrics are "
@@ -420,36 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="hidden nodes (default: one per input)")
         p.add_argument("--max-iter", type=int, metavar="<n>",
                        help="training iteration cap")
-
-    validate_p = sub.add_parser(
-        "validate", help="parse the dataset and check derived columns")
-    add_common(validate_p)
-
-    summarize_p = sub.add_parser(
-        "summarize", help="per-attribute summary of the complete records")
-    add_common(summarize_p)
-
-    fit_p = sub.add_parser(
-        "fit", help="fit one model and report it (regression: coefficient "
-                    "table; ann: accuracy metrics)")
-    add_common(fit_p)
-    add_model_flags(fit_p, ("regression", "ann"), "regression")
-
-    ablate_p = sub.add_parser(
-        "ablate", help="run all six feature scenarios")
-    add_common(ablate_p)
-    ablate_p.add_argument("--model", choices=("regression", "ann", "both"),
-                          default="both")
-    ablate_p.add_argument("--seed", type=int, default=0)
-    ablate_p.add_argument("--seeds", type=int, default=1, metavar="<k>")
-    ablate_p.add_argument("--hidden", type=int, metavar="<n>")
-    ablate_p.add_argument("--max-iter", type=int, metavar="<n>")
-
-    metrics_p = sub.add_parser(
-        "metrics", help="accuracy criteria for one scenario and model")
-    add_common(metrics_p)
-    add_model_flags(metrics_p, ("regression", "ann"), "regression")
-
     return parser
 
 
@@ -460,9 +376,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
     complete = filter_complete(raw)
 
     if args.command == "validate":
-        violations: list[Violation] = []
-        for record in complete:
-            violations.extend(validate_derived(record))
+        violations = [v for record in complete
+                      for v in validate_derived(record)]
         text = _render_validation(len(raw), len(complete), violations,
                                   args.format, checksum)
         return text, (1 if violations else 0)
@@ -472,30 +387,18 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
                                args.format, checksum)
         return text, 0
 
-    if args.command == "fit":
-        scen = _scenario_by_name(args.features)
-        if args.model == "regression":
-            fit = fit_ols(build_frame(complete, scen.features))
-            return render_report(fit, args.format, checksum), 0
-        report = run_scenario(complete, scen, "ann",
-                              seeds=_seed_list(args),
-                              ann_config=_ann_config(args))
-        return render_report(report, args.format, checksum), 0
-
+    seeds, config = _seed_list(args), _ann_config(args)
     if args.command == "ablate":
-        table = run_ablation(complete, model=args.model,
-                             seeds=_seed_list(args),
-                             ann_config=_ann_config(args))
-        return render_report(table, args.format, checksum), 0
-
-    if args.command == "metrics":
-        scen = _scenario_by_name(args.features)
-        report = run_scenario(complete, scen, args.model,
-                              seeds=_seed_list(args),
-                              ann_config=_ann_config(args))
-        return render_report(report, args.format, checksum), 0
-
-    raise EffortlabError(f"unknown command {args.command!r}")
+        result = run_ablation(complete, model=args.model, seeds=seeds,
+                              ann_config=config)
+    else:
+        scen = {s.name: s for s in scenarios()}[args.features]
+        if args.model == "regression" and args.command == "fit":
+            result = fit_ols(build_frame(complete, scen.features))
+        else:
+            result = run_scenario(complete, scen, args.model, seeds=seeds,
+                                  ann_config=config)
+    return render_report(result, args.format, checksum), 0
 
 
 def run(argv: Sequence[str]) -> int:

@@ -85,12 +85,14 @@ def r_squared(pairs: Iterable[EvaluationPair]) -> float:
     DegenerateInputError rather than returning a sentinel.
     """
     out = _as_pairs(pairs)
-    mean_actual = sum(p.actual for p in out) / len(out)
-    sst = sum((p.actual - mean_actual) ** 2 for p in out)
-    if sst == 0.0:
+    actual = [p.actual for p in out]
+    # on the values: a rounded mean leaves a constant sample a tiny sst
+    if min(actual) == max(actual):
         raise DegenerateInputError(
             "actuals are constant; r_squared is undefined"
         )
+    mean_actual = sum(actual) / len(out)
+    sst = sum((a - mean_actual) ** 2 for a in actual)
     sse = sum((p.actual - p.predicted) ** 2 for p in out)
     return 1.0 - sse / sst
 
@@ -118,7 +120,7 @@ def evaluate(pairs: Iterable[EvaluationPair]) -> MetricsReport:
         sst = sum((a - mean_actual) ** 2 for a in actual)
     except OverflowError:
         sse = sst = math.inf
-    if sst == 0.0:
+    if min(actual) == max(actual):
         raise DegenerateInputError(
             "actuals are constant; r_squared is undefined"
         )

@@ -2,6 +2,7 @@
 
 import codecs
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -148,6 +149,17 @@ def test_constant_effort_is_named(capsys, tmp_path, command):
     assert (code, out, err) == (1, "", "error: response is constant\n")
 
 
+def test_constant_effort_with_a_rounded_mean_is_named(capsys, tmp_path):
+    def edit(data):
+        return _constant_effort(data).replace(b",5000,", b",5152.3,")
+
+    path = _bundled_with(tmp_path, edit)
+    code, out, err = _capture(capsys, ["metrics", "--model", "ann",
+                                       "--max-iter", "3", "--dataset", path])
+    assert (code, out) == (1, "")
+    assert err == "error: actuals are constant; r_squared is undefined\n"
+
+
 def test_violations_flip_exit_code(capsys, tmp_path, raw_records):
     lines = el.serialize_records(raw_records).splitlines()
     first = lines[1].split(",")
@@ -255,6 +267,17 @@ def test_negative_seed_is_data_error(capsys, argv):
     assert _capture(capsys, argv) == (1, "", "error: seed must be >= 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--seeds", "0"],
+    ["fit", "--model", "ann", "--seeds", "0"],
+    ["metrics", "--seeds", "0"],
+    ["ablate", "--model", "regression", "--seeds", "0"],
+], ids=["fit", "fit-ann", "metrics", "ablate"])
+def test_seeds_below_one_is_data_error(capsys, argv):
+    assert _capture(capsys, argv) == (
+        1, "", "error: --seeds must be at least 1\n")
+
+
 def test_ablation_csv_shape(capsys):
     _, out, _ = _capture(capsys,
                          ["ablate", "--model", "both", "--format", "csv",
@@ -326,3 +349,25 @@ def test_metrics_matches_library_values(capsys, complete_records):
                                "regression")
     assert body["mmre"] == pytest.approx(expected.mmre)
     assert body["r_squared"] == pytest.approx(expected.r_squared)
+
+
+def _load_perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
+    spans = _load_perfbench_spans()
+    tracer = spans.Tracer()
+    tracer.install()  # fails if a wrapped name is missing
+    try:
+        code = cli.run(["validate", "--out", str(tmp_path / "report.md")])
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    assert code == 0
+    assert "cli.render_validation" in names
+    assert "dataset.validate" in names

@@ -68,6 +68,20 @@ def test_r_squared_degenerate_constant_actuals():
         el.r_squared([Pair(5.0, 4.0), Pair(5.0, 6.0)])
 
 
+def test_constant_actuals_with_a_rounded_mean_are_degenerate():
+    # the mean of 77 copies of 5152.3 rounds, so the sum of squares
+    # around it is not exactly zero
+    pairs = [Pair(5152.3, 5000.0 + i) for i in range(77)]
+    assert sum((p.actual - sum(q.actual for q in pairs) / 77) ** 2
+               for p in pairs) != 0.0
+    with pytest.raises(el.DegenerateInputError,
+                       match="actuals are constant"):
+        el.r_squared(pairs)
+    with pytest.raises(el.DegenerateInputError,
+                       match="actuals are constant"):
+        el.evaluate(pairs)
+
+
 def test_evaluate_bundles_all_criteria():
     report = el.evaluate(PAIRS)
     assert report.mmre == pytest.approx(el.mmre(PAIRS))
