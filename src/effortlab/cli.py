@@ -60,8 +60,9 @@ class _Column(NamedTuple):
 class _Report:
     """One report as data, for the three writers below. A fact is
     (markdown label, csv comment key, value), with None for the format
-    that omits it. Notes are markdown-only lines after the tables, and
-    sections split the markdown rows into tables under heading lines."""
+    that omits it. Notes are markdown-only lines after the tables.
+    Sections split the markdown rows into tables under heading lines;
+    None puts all rows in one table."""
 
     kind: str
     title: str
@@ -70,7 +71,7 @@ class _Report:
     rows: Sequence[Sequence]
     body: dict
     notes: Sequence[str] = ()
-    sections: Sequence[tuple[list[str], Sequence[Sequence]]] | None = None
+    sections: Sequence[tuple[Sequence[str], Sequence[Sequence]]] | None = None
 
 
 def _md_table(columns: Sequence[_Column],
@@ -94,8 +95,7 @@ def _write_markdown(report: _Report, checksum: str | None) -> str:
                  if label is not None)
     sections = report.sections
     if sections is None:
-        shown = any(c.heading is not None for c in report.columns)
-        sections = [((), report.rows)] if shown else []
+        sections = [((), report.rows)]
     for heading, rows in sections:
         lines.extend(["", *heading, *_md_table(report.columns, rows)])
     if report.notes:
@@ -252,8 +252,8 @@ def render_report(report: AblationTable | RegressionFit | MetricsReport,
     """Render an analysis result in one of the three output formats."""
     if format not in FORMATS:
         raise EffortlabError(f"unknown format {format!r}")
-    for kind, build in _BUILDERS:
-        if isinstance(report, kind):
+    for cls, build in _BUILDERS:
+        if isinstance(report, cls):
             return _WRITERS[format](build(report), checksum)
     raise EffortlabError(f"cannot render {type(report).__name__}")
 
@@ -275,7 +275,8 @@ def _render_validation(n_parsed: int, n_complete: int,
         [("Parsed records", "n_parsed", n_parsed),
          ("Complete records", "n_complete", n_complete),
          ("Violations", None, len(violations))],
-        _VIOLATION_COLUMNS, rows, body, [f"- {v}" for v in violations])
+        _VIOLATION_COLUMNS, rows, body, [f"- {v}" for v in violations],
+        sections=())  # no markdown table, only the notes
     return _WRITERS[format](report, checksum)
 
 
