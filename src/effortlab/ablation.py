@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ann import AnnConfig, predict_frame, train
+# train is not called here, but stays bound: perfbench/spans.py wraps
+# effortlab.ablation.train
+from .ann import AnnConfig, predict_frame, train, train_seeds  # noqa: F401
 from .dataset import ProjectRecord
 from .errors import DomainError
 from .metrics import EvaluationPair, MetricsReport, evaluate
@@ -109,10 +111,8 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
     if not seeds:
         raise DomainError("need at least one seed for the ann model")
     base = ann_config if ann_config is not None else AnnConfig()
-    reports = []
-    for seed in seeds:
-        net, _ = train(frame, replace(base, seed=seed))
-        reports.append(evaluate(_pairs(records, predict_frame(net, frame))))
+    reports = [evaluate(_pairs(records, predict_frame(net, frame)))
+               for net, _ in train_seeds(frame, base, seeds)]
     return _median_report(reports)
 
 

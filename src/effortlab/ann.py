@@ -16,14 +16,27 @@ that backpropagation reuses at the accepted step. The output layer runs
 per block, since a matrix-vector product's rounding depends on its row
 count and one product over all rows would change the trained weights.
 
+The seeds of one frame train in lockstep, up to _SEED_BLOCK at a time.
+Each live seed has exactly one pending trial, its current line-search
+step or the first step of its next iteration, so a round is one
+_evaluate over the stacked trials, each seed's own Armijo test, and one
+_backprop over the seeds that accepted. Step, slope, restarts, patience
+and stopping stay per seed; a seed that stops leaves the stacks. The
+bits are those of the seed trained alone: a stacked np.matmul makes the
+2-D product's BLAS call slice by slice, numpy computes a per-seed
+(1, P) @ (P, 1) product as the 1-D dot, and each sum reduces the same
+axis of each slice. np.einsum and reordered sums round differently.
+
 The kernels are tuned for small arrays but stay bit-identical to the
 reference formulas; tests/test_ann.py and tests/golden/ pin them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +53,10 @@ HOLDOUT_PATIENCE = 50
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
+
+# Seeds stacked in one lockstep block. The cost per training is flat from
+# 20 seeds up, so larger blocks would only hold more memory.
+_SEED_BLOCK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,31 +122,40 @@ def _matrix(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
+# The kernels take one network's parameters (P,) with inputs (n, d), or a
+# stack (S, P) with inputs (S, n, d).
+
 def _hidden(params: np.ndarray, X: np.ndarray, h: int) -> np.ndarray:
     # hidden weights (h rows of X's width) and biases lead the layout
-    hd = h * X.shape[1]
-    z = X @ params[:hd].reshape(h, -1).T
-    z += params[hd:hd + h]
+    hd = h * X.shape[-1]
+    w = params[..., :hd].reshape(*params.shape[:-1], h, -1)
+    z = X @ w.swapaxes(-1, -2)
+    z += params[..., None, hd:hd + h]
     return _sigmoid(z)
 
 
 def _output(params: np.ndarray, a: np.ndarray, h: int) -> np.ndarray:
     # output weights and bias are the last h + 1 parameters
-    return a @ params[-1 - h:-1] + params[-1]
+    return (a @ params[..., -1 - h:-1, None])[..., 0] + params[..., -1:]
 
 
 def _backprop(params: np.ndarray, X: np.ndarray, activations: np.ndarray,
               delta_out: np.ndarray, h: int) -> np.ndarray:
-    g_w_out = activations.T @ delta_out
-    g_b_out = delta_out.sum()
-    delta_hidden = delta_out[:, None] * params[-1 - h:-1]
+    g_w_out = (activations.swapaxes(-1, -2) @ delta_out[..., None])[..., 0]
+    delta_hidden = delta_out[..., None] * params[..., None, -1 - h:-1]
     delta_hidden *= activations
     delta_hidden *= 1 - activations
-    g_w_hidden = delta_hidden.T @ X
-    g_b_hidden = delta_hidden.sum(axis=0)
+    g_w_hidden = delta_hidden.swapaxes(-1, -2) @ X
     return np.concatenate([
-        g_w_hidden.ravel(), g_b_hidden, g_w_out, [g_b_out],
-    ])
+        g_w_hidden.reshape(*params.shape[:-1], -1),
+        delta_hidden.sum(axis=-2), g_w_out,
+        delta_out.sum(axis=-1, keepdims=True),
+    ], axis=-1)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one dot product per stacked row
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def forward(params: np.ndarray, inputs: np.ndarray,
@@ -156,14 +182,15 @@ def _half_sse(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     return 0.5 * float(resid @ resid)
 
 
-def _evaluate(params: np.ndarray, Z_fit: np.ndarray, y_fit: np.ndarray,
-              n_train: int, h: int):
-    """Half training SSE, holdout SSE, training activations, residuals."""
-    a = _hidden(params, Z_fit, h)
-    r_train = _output(params, a[:n_train], h) - y_fit[:n_train]
-    r_hold = _output(params, a[n_train:], h) - y_fit[n_train:]
-    return (0.5 * float(r_train @ r_train), float(r_hold @ r_hold),
-            a[:n_train], r_train)
+def _evaluate(W: np.ndarray, Z: np.ndarray, Y: np.ndarray, n_train: int,
+              h: int):
+    """Per stacked network: half training SSE, holdout SSE, training
+    activations and residuals."""
+    a = _hidden(W, Z, h)
+    r_train = _output(W, a[:, :n_train], h) - Y[:, :n_train]
+    r_hold = _output(W, a[:, n_train:], h) - Y[:, n_train:]
+    return (0.5 * _dots(r_train, r_train), _dots(r_hold, r_hold),
+            a[:, :n_train], r_train)
 
 
 def _standardize(matrix: np.ndarray):
@@ -171,6 +198,18 @@ def _standardize(matrix: np.ndarray):
     sd = matrix.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     return mean, sd
+
+
+def check_config(config: AnnConfig, seeds: Sequence[int]) -> None:
+    """Raise DomainError for settings that no training accepts."""
+    if config.max_iterations < 0:
+        raise DomainError("max_iterations must be >= 0")
+    if any(seed < 0 for seed in seeds):
+        raise DomainError("seed must be >= 0")
+    if not 0.0 < config.holdout_fraction < 0.5:
+        raise DomainError("holdout_fraction must be in (0, 0.5)")
+    if config.hidden_nodes is not None and config.hidden_nodes < 1:
+        raise DomainError("hidden_nodes must be >= 1")
 
 
 def train(frame: ModelFrame,
@@ -181,131 +220,151 @@ def train(frame: ModelFrame,
     input standardization uses training rows only. Returns the weights
     with the best holdout error seen, not the last iterate.
     """
-    if config.max_iterations < 0:
-        raise DomainError("max_iterations must be >= 0")
-    if config.seed < 0:
-        raise DomainError("seed must be >= 0")
-    if not 0.0 < config.holdout_fraction < 0.5:
-        raise DomainError("holdout_fraction must be in (0, 0.5)")
+    return next(train_seeds(frame, config, [config.seed]))
+
+
+def train_seeds(frame: ModelFrame, config: AnnConfig, seeds: Sequence[int]
+                ) -> Iterator[tuple[AnnModel, TrainingTrace]]:
+    """What train gives for each seed in turn, with config's other
+    settings, in the order of the seeds. The config and every seed are
+    checked before any training; the seeds then train in lockstep, a
+    block at a time as the results are consumed."""
+    check_config(config, seeds)
     feature_columns = frame.predictor_columns()
     if not feature_columns:
         raise DomainError("frame has no predictor columns")
-    keep = [frame.columns.index(c) for c in feature_columns]
-    X_all = frame.matrix[:, keep]
-    y_all = frame.response
-    n = len(y_all)
+    n = len(frame.response)
     if n < 10:
         raise InsufficientDataError(f"need at least 10 records, got {n}")
+    return itertools.chain.from_iterable(
+        _train_block(frame, feature_columns, config, seeds[i:i + _SEED_BLOCK])
+        for i in range(0, len(seeds), _SEED_BLOCK))
 
-    rng = np.random.default_rng(config.seed)
-    k = max(1, round(config.holdout_fraction * n))
-    order = rng.permutation(n)
-    holdout_idx = np.sort(order[:k])
-    train_idx = np.sort(order[k:])
 
-    mean, sd = _standardize(X_all[train_idx])
-    # training rows first, then holdout rows: one hidden pass covers both
-    fit_idx = np.concatenate([train_idx, holdout_idx])
-    Z_fit = (X_all[fit_idx] - mean) / sd
-    y_fit = y_all[fit_idx]
-    n_train = len(train_idx)
-    Z_train = Z_fit[:n_train]
+@dataclass(slots=True, eq=False)
+class _Run:
+    """The state of one seed's training that is not stacked."""
 
-    d = len(feature_columns)
+    loss: float
+    best: float
+    best_w: np.ndarray
+    train_hist: list[float]
+    hold_hist: list[float]
+    step: float = 0.5  # so the first search starts at 1
+    slope: float = 0.0
+    g_sq: float = 0.0
+    iterations: int = 0
+    best_iter: int = 0
+    patience: int = 0
+    stop: str = ""
+
+
+def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
+                 config: AnnConfig, seeds: Sequence[int]
+                 ) -> list[tuple[AnnModel, TrainingTrace]]:
+    """Train one network per seed on the same frame, all together."""
+    keep = [frame.columns.index(c) for c in feature_columns]
+    X_all, y_all = frame.matrix[:, keep], frame.response
+    (n, d), S = X_all.shape, len(seeds)
     h = config.hidden_nodes if config.hidden_nodes is not None else d
-    if h < 1:
-        raise DomainError("hidden_nodes must be >= 1")
-    w = init_network(d, h, config.seed)
-    n_params = len(w)
+    k = max(1, round(config.holdout_fraction * n))
+    n_train = n - k
+    n_params = parameter_count(d, h)
+    Z, Y, W = np.empty((S, n, d)), np.empty((S, n)), np.empty((S, n_params))
+    scales = []
+    for i, seed in enumerate(seeds):
+        order = np.random.default_rng(seed).permutation(n)
+        holdout_idx, train_idx = np.sort(order[:k]), np.sort(order[k:])
+        mean, sd = _standardize(X_all[train_idx])
+        scales.append((mean, sd))
+        # training rows first, then holdout rows: one hidden pass covers both
+        fit_idx = np.concatenate([train_idx, holdout_idx])
+        Z[i] = (X_all[fit_idx] - mean) / sd
+        Y[i] = y_all[fit_idx]
+        W[i] = init_network(d, h, seed)
 
-    loss, hold_sse, a, r = _evaluate(w, Z_fit, y_fit, n_train, h)
-    train_hist = [2.0 * loss]
-    hold_hist = [hold_sse]
-    best_sse = hold_sse
-    # w is only ever rebound to a new array, never written in place
-    best_w = w
-    best_iter = 0
-    patience = 0
-    stop = STOP_MAX_ITERATIONS
-
-    g = _backprop(w, Z_train, a, r, h)
-    direction = -g
-    step = 0.5  # so the first search starts at 1
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        g_sq = float(g @ g)
-        if math.sqrt(g_sq) < config.min_gradient:
-            stop = STOP_GRADIENT_BELOW_MIN
+    loss, hold, A, R = _evaluate(W, Z, Y, n_train, h)
+    # W is written in place below, so the best weights are copies
+    runs = [_Run(v, s, w.copy(), [2.0 * v], [s])
+            for v, s, w in zip(loss.tolist(), hold.tolist(), W)]
+    live = runs
+    G = _backprop(W, Z[:, :n_train], A, R, h)
+    D = -G
+    # positions of the runs that accepted their step, with their new G, D
+    go, G_go, D_go = list(range(len(runs))), G, D
+    while True:
+        if go:  # the runs that go on begin their next iteration
+            for j, g_sq, slope in zip(go, _dots(G_go, G_go).tolist(),
+                                      _dots(G_go, D_go).tolist()):
+                run = live[j]
+                if run.stop:
+                    continue
+                if run.iterations >= config.max_iterations:
+                    run.stop = STOP_MAX_ITERATIONS
+                elif math.sqrt(g_sq) < config.min_gradient:
+                    run.stop = STOP_GRADIENT_BELOW_MIN
+                else:
+                    if slope >= 0.0:
+                        D[j] = -G[j]
+                        slope = float(G[j] @ D[j])
+                    run.g_sq, run.slope = g_sq, slope
+                    run.step = min(1.0, 2.0 * run.step)
+        alive = [j for j, run in enumerate(live) if not run.stop]
+        if not alive:
             break
+        if len(alive) < len(live):
+            live = [live[j] for j in alive]
+            Z, Y, W, D, G = Z[alive], Y[alive], W[alive], D[alive], G[alive]
 
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            direction = -g
-            slope = float(g @ direction)
-
-        step = min(1.0, 2.0 * step)
-        w_new = w + step * direction
-        new_loss, hold_sse, a, r = _evaluate(w_new, Z_fit, y_fit, n_train, h)
-        while new_loss > loss + _ARMIJO_C * step * slope:
-            step *= 0.5
-            if step < _MIN_STEP:
-                break
-            w_new = w + step * direction
-            new_loss, hold_sse, a, r = _evaluate(w_new, Z_fit, y_fit,
-                                                 n_train, h)
-        if step < _MIN_STEP:
-            stop = STOP_IMPROVEMENT_BELOW_DELTA
-            break
-
-        w = w_new
-        g_new = _backprop(w, Z_train, a, r, h)
-        if it % n_params == 0:
-            beta = 0.0
-        else:
-            beta = max(0.0, float(g_new @ (g_new - g)) / g_sq)
-        direction = -g_new + beta * direction
-        g = g_new
-        iterations = it
-
-        improvement = loss - new_loss
-        relative = improvement / max(loss, _MIN_STEP)
-        loss = new_loss
-        train_hist.append(2.0 * loss)
-        hold_hist.append(hold_sse)
-
-        if hold_sse < best_sse:
-            best_sse = hold_sse
-            best_w = w
-            best_iter = it
-            patience = 0
-        else:
-            patience += 1
-            if patience >= HOLDOUT_PATIENCE:
-                stop = STOP_HOLDOUT_WORSENING
-                break
-
-        if (improvement < config.min_improvement_delta
-                or relative < config.convergence_tolerance):
-            stop = STOP_IMPROVEMENT_BELOW_DELTA
-            break
-
-    model = AnnModel(
-        weights=best_w,
-        hidden_nodes=h,
-        feature_columns=feature_columns,
-        input_mean=mean,
-        input_sd=sd,
-        config=config,
-    )
-    trace = TrainingTrace(
-        iterations=iterations,
-        stop_reason=stop,
-        train_sse=tuple(train_hist),
-        holdout_sse=tuple(hold_hist),
-        best_holdout_sse=best_sse,
-        best_iteration=best_iter,
-    )
-    return model, trace
+        T = W + np.array([run.step for run in live])[:, None] * D
+        del A, R  # so that two trials' activations are never held at once
+        new_loss, hold, A, R = _evaluate(T, Z, Y, n_train, h)
+        new_loss, hold = new_loss.tolist(), hold.tolist()
+        go = []
+        for j, run in enumerate(live):
+            if new_loss[j] > run.loss + _ARMIJO_C * run.step * run.slope:
+                run.step *= 0.5
+                if run.step < _MIN_STEP:
+                    run.stop = STOP_IMPROVEMENT_BELOW_DELTA
+            else:
+                go.append(j)
+        if not go:
+            continue
+        rows = slice(None) if len(go) == len(live) else np.array(go)
+        T_go = T[rows]
+        G_go = _backprop(T_go, Z[rows, :n_train], A[rows], R[rows], h)
+        betas = []
+        for j, num in zip(go, _dots(G_go, G_go - G[rows]).tolist()):
+            run = live[j]
+            run.iterations += 1
+            betas.append(0.0 if run.iterations % n_params == 0
+                         else max(0.0, num / run.g_sq))
+            improvement = run.loss - new_loss[j]
+            relative = improvement / max(run.loss, _MIN_STEP)
+            run.loss = new_loss[j]
+            run.train_hist.append(2.0 * run.loss)
+            run.hold_hist.append(hold[j])
+            if hold[j] < run.best:
+                run.best, run.best_w = hold[j], T[j].copy()
+                run.best_iter, run.patience = run.iterations, 0
+            else:
+                run.patience += 1
+                if run.patience >= HOLDOUT_PATIENCE:
+                    run.stop = STOP_HOLDOUT_WORSENING
+            if not run.stop and (improvement < config.min_improvement_delta
+                                 or relative < config.convergence_tolerance):
+                run.stop = STOP_IMPROVEMENT_BELOW_DELTA
+        D_go = -G_go + np.array(betas)[:, None] * D[rows]
+        W[rows], D[rows], G[rows] = T_go, D_go, G_go
+    return [(AnnModel(weights=run.best_w, hidden_nodes=h,
+                      feature_columns=feature_columns, input_mean=mean,
+                      input_sd=sd, config=replace(config, seed=seed)),
+             TrainingTrace(iterations=run.iterations, stop_reason=run.stop,
+                           train_sse=tuple(run.train_hist),
+                           holdout_sse=tuple(run.hold_hist),
+                           best_holdout_sse=run.best,
+                           best_iteration=run.best_iter))
+            for run, (mean, sd), seed in zip(runs, scales, seeds)]
 
 
 def predict_frame(model: AnnModel, frame: ModelFrame) -> np.ndarray:

@@ -20,7 +20,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import NamedTuple, Sequence
 
 from .ablation import (AblationTable, run_ablation, run_scenario, scenarios)
-from .ann import AnnConfig
+from .ann import AnnConfig, check_config
 from .dataset import (DatasetSummary, Violation, bundled_dataset_path,
                       filter_complete, load_dataset, summarize,
                       validate_derived)
@@ -306,15 +306,16 @@ def _render_summary(n_parsed: int, summary: DatasetSummary, format: str,
     return _WRITERS[format](report, checksum)
 
 
-def _ann_config(args: argparse.Namespace) -> AnnConfig:
-    overrides = {"hidden_nodes": args.hidden, "max_iterations": args.max_iter}
-    return AnnConfig(**{k: v for k, v in overrides.items() if v is not None})
-
-
-def _seed_list(args: argparse.Namespace) -> list[int]:
+def _model_flags(args: argparse.Namespace) -> tuple[list[int], AnnConfig]:
+    """The seeds and network settings of a model command, checked with
+    the network's own rules whichever model runs."""
     if args.seeds < 1:
         raise EffortlabError("--seeds must be at least 1")
-    return [args.seed + i for i in range(args.seeds)]
+    seeds = [args.seed + i for i in range(args.seeds)]
+    overrides = {"hidden_nodes": args.hidden, "max_iterations": args.max_iter}
+    config = AnnConfig(**{k: v for k, v in overrides.items() if v is not None})
+    check_config(config, seeds)
+    return seeds, config
 
 
 def _dataset_path(args: argparse.Namespace) -> str:
@@ -371,6 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
+    # model flags are checked before the dataset is read
+    if _COMMANDS[args.command][1] is not None:
+        seeds, config = _model_flags(args)
     digest = hashlib.sha256()
     raw = load_dataset(_dataset_path(args), digest=digest)
     checksum = digest.hexdigest()
@@ -388,7 +392,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
                                args.format, checksum)
         return text, 0
 
-    seeds, config = _seed_list(args), _ann_config(args)
     if args.command == "ablate":
         result = run_ablation(complete, model=args.model, seeds=seeds,
                               ann_config=config)
@@ -416,6 +419,14 @@ def run(argv: Sequence[str]) -> int:
                 handle.write(text + "\n")
         else:
             print(text)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; stdout is flushed again at exit, so point
+        # it at devnull rather than print a second error there
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (EffortlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,7 @@
 """Network mechanics: initialization, gradients, training behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,27 +260,119 @@ def test_training_sse_never_increases(full_frame):
     assert np.all(diffs <= 1e-12)
 
 
+def _assert_matches(trained, expected):
+    model, trace = trained
+    weights, summary = expected
+    _assert_bitwise(model.weights, weights)
+    assert (trace.iterations, trace.stop_reason, trace.train_sse,
+            trace.holdout_sse, trace.best_iteration,
+            trace.best_holdout_sse) == summary
+    _assert_bitwise(trace.train_sse, summary[2])
+    _assert_bitwise(trace.holdout_sse, summary[3])
+
+
 def test_training_bitwise_matches_reference_loop(full_frame,
                                                  complete_records):
     # hidden sizes of 8 and more catch an output layer applied to the
-    # stacked training and holdout rows in one product
+    # stacked training and holdout rows in one product; each seed must
+    # match both trained alone and trained in one batch of ten
     size_only = el.build_frame(complete_records, el.FeatureSet(
         language=False, team_exp=False, manager_exp=False, envergure=False))
     for frame in (full_frame, size_only):
         for hidden in (None, 1, 8, 12, 30):
             for fraction in (0.2, 0.35):
-                for seed in range(10):
-                    config = el.AnnConfig(hidden_nodes=hidden, seed=seed,
-                                          holdout_fraction=fraction)
-                    model, trace = el.train(frame, config)
-                    weights, expected = _reference_train(frame, config)
-                    _assert_bitwise(model.weights, weights)
-                    assert (trace.iterations, trace.stop_reason,
-                            trace.train_sse, trace.holdout_sse,
-                            trace.best_iteration,
-                            trace.best_holdout_sse) == expected
-                    _assert_bitwise(trace.train_sse, expected[2])
-                    _assert_bitwise(trace.holdout_sse, expected[3])
+                base = el.AnnConfig(hidden_nodes=hidden,
+                                    holdout_fraction=fraction)
+                batch = list(ann.train_seeds(frame, base, range(10)))
+                for seed, trained in enumerate(batch):
+                    config = replace(base, seed=seed)
+                    expected = _reference_train(frame, config)
+                    _assert_matches(el.train(frame, config), expected)
+                    _assert_matches(trained, expected)
+
+
+@pytest.mark.parametrize("overrides, reasons", [
+    ({"max_iterations": 0}, {STOP_MAX_ITERATIONS}),
+    ({"max_iterations": 3}, {STOP_MAX_ITERATIONS}),
+    # seed 8 stops on a small improvement at the cap, iteration 57
+    ({"max_iterations": 57},
+     {STOP_MAX_ITERATIONS, STOP_IMPROVEMENT_BELOW_DELTA}),
+    ({"min_gradient": 0.5}, {STOP_GRADIENT_BELOW_MIN, STOP_HOLDOUT_WORSENING,
+                             STOP_IMPROVEMENT_BELOW_DELTA}),
+    ({}, {STOP_HOLDOUT_WORSENING, STOP_IMPROVEMENT_BELOW_DELTA}),
+], ids=["max-iter-0", "max-iter-3", "max-iter-57", "min-gradient", "default"])
+def test_batch_with_mixed_stops_matches_reference_loop(full_frame, overrides,
+                                                       reasons):
+    # seeds that stop in different rounds and for different reasons
+    # leave the batch without disturbing the others
+    base = el.AnnConfig(**overrides)
+    batch = list(ann.train_seeds(full_frame, base, range(10)))
+    assert {trace.stop_reason for _, trace in batch} == reasons
+    for seed, trained in enumerate(batch):
+        _assert_matches(trained,
+                        _reference_train(full_frame, replace(base, seed=seed)))
+
+
+def test_batch_keeps_initial_weights_that_stay_best():
+    # efforts that are noise around 1 person-hour: on several seeds no
+    # step beats the initial holdout error, so the initial weights are
+    # returned after the stacks they came from were overwritten
+    rng = np.random.default_rng(3)
+    records = []
+    for i in range(20):
+        size = float(rng.uniform(80, 600))
+        records.append(el.ProjectRecord(
+            project_id=i + 1, team_exp=int(rng.integers(0, 5)),
+            manager_exp=int(rng.integers(0, 5)), year_end=86, length=10,
+            effort=float(np.exp(rng.normal())), transactions=100,
+            entities=100, points_non_adjust=size, envergure=20,
+            points_adjust=size * 0.85, language=1))
+    frame = el.build_frame(records, el.FeatureSet(
+        language=False, team_exp=False, manager_exp=False, envergure=False))
+    batch = list(ann.train_seeds(frame, el.AnnConfig(), range(10)))
+    assert any(trace.best_iteration == 0 and trace.iterations > 0
+               for _, trace in batch)
+    for seed, trained in enumerate(batch):
+        _assert_matches(trained, _reference_train(frame,
+                                                  el.AnnConfig(seed=seed)))
+
+
+def test_batch_returns_results_in_the_order_of_the_seeds(full_frame):
+    seeds = [7, 3, 7, 12, 0, 3]  # duplicates, gaps, not sorted
+    base = el.AnnConfig(hidden_nodes=4)
+    batch = list(ann.train_seeds(full_frame, base, seeds))
+    assert [model.config for model, _ in batch] == [
+        replace(base, seed=seed) for seed in seeds]
+    for seed, trained in zip(seeds, batch):
+        _assert_matches(trained,
+                        _reference_train(full_frame, replace(base, seed=seed)))
+
+
+def test_seed_blocks_match_reference_loop(full_frame, monkeypatch):
+    blocks = []
+
+    def recorded(frame, columns, config, seeds, _original=ann._train_block):
+        blocks.append(list(seeds))
+        return _original(frame, columns, config, seeds)
+    monkeypatch.setattr(ann, "_SEED_BLOCK", 3)
+    monkeypatch.setattr(ann, "_train_block", recorded)
+    base = el.AnnConfig(hidden_nodes=3)
+    batch = list(ann.train_seeds(full_frame, base, range(7)))
+    assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
+    for seed, trained in enumerate(batch):
+        _assert_matches(trained,
+                        _reference_train(full_frame, replace(base, seed=seed)))
+
+
+def test_negative_seed_in_a_batch_raises_before_any_training(full_frame,
+                                                             monkeypatch):
+    calls = []
+    for name in ("init_network", "_evaluate", "_backprop"):
+        monkeypatch.setattr(ann, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(ann, "_SEED_BLOCK", 2)
+    with pytest.raises(el.DomainError, match="^seed must be >= 0$"):
+        list(ann.train_seeds(full_frame, el.AnnConfig(), [0, 1, 2, -1, 4]))
+    assert calls == []
 
 
 def test_line_search_is_warm_started(full_frame, monkeypatch):

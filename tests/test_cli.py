@@ -213,6 +213,23 @@ def test_python_dash_m_runs_the_cli():
         assert proc.stderr == ""
 
 
+def test_closed_pipe_exits_quietly():
+    src = str(Path(el.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("EFFORTLAB_DATASET", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the report is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "effortlab", "fit"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 def test_byte_stable_outputs(capsys):
     for argv in (["fit", "--format", "json"],
                  ["ablate", "--model", "regression", "--format", "csv"],
@@ -265,6 +282,23 @@ def test_fixed_point_rendering_covers_the_float_range():
 ], ids=["fit", "ablate"])
 def test_negative_seed_is_data_error(capsys, argv):
     assert _capture(capsys, argv) == (1, "", "error: seed must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--seed", "-1"], "seed must be >= 0"),
+    (["fit", "--hidden", "-1"], "hidden_nodes must be >= 1"),
+    (["fit", "--max-iter", "-5"], "max_iterations must be >= 0"),
+    (["metrics", "--hidden", "0", "--max-iter", "-1"],
+     "max_iterations must be >= 0"),
+    (["ablate", "--model", "regression", "--hidden", "0"],
+     "hidden_nodes must be >= 1"),
+    # checked before the dataset is read
+    (["fit", "--seed", "-1", "--dataset", "missing.csv"],
+     "seed must be >= 0"),
+], ids=["fit-seed", "fit-hidden", "fit-max-iter", "metrics", "ablate",
+        "before-dataset"])
+def test_model_flags_are_checked_whichever_model_runs(capsys, argv, message):
+    assert _capture(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
