@@ -418,15 +418,16 @@ def run(argv: Sequence[str]) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:
-            print(text)
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone; stdout is flushed again at exit, so point
-        # it at devnull rather than print a second error there
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+            try:
+                print(text)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader has gone and wants no more; stdout is flushed
+                # again at exit, so point it at devnull to keep that quiet
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                return 1
     except (EffortlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
