@@ -199,11 +199,17 @@ def test_out_to_unwritable_path_is_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _subprocess_env():
+    # the package under test, and the bundled dataset
     src = str(Path(el.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("EFFORTLAB_DATASET", None)
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _subprocess_env()
     for module in ("effortlab", "effortlab.cli"):
         proc = subprocess.run([sys.executable, "-m", module, "validate"],
                               capture_output=True, text=True, env=env,
@@ -214,16 +220,12 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_closed_pipe_exits_quietly():
-    src = str(Path(el.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("EFFORTLAB_DATASET", None)
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the report is written
     try:
         proc = subprocess.run([sys.executable, "-m", "effortlab", "fit"],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, timeout=60)
+                              env=_subprocess_env(), timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
