@@ -21,7 +21,6 @@ from .ann import (
     TrainingTrace,
     forward,
     gradient,
-    init_network,
     predict_effort_ann,
     predict_frame,
     train,
@@ -51,12 +50,10 @@ from .errors import (
     TransformError,
 )
 from .metrics import (
-    EvaluationPair,
     MetricsReport,
     evaluate,
     mean_error,
     mmre,
-    mre,
     pred,
     r_squared,
     rmse,
@@ -65,7 +62,6 @@ from .numerics import (
     LinearSystemSolution,
     NormalityReport,
     f_upper_tail_p,
-    ln_gamma,
     normality_test,
     regularized_incomplete_beta,
     solve_least_squares,
@@ -79,7 +75,6 @@ from .regression import (
     StepwiseTrace,
     build_candidate_frame,
     build_frame,
-    encode_language,
     fit_ols,
     predict_effort,
     stepwise_select,
@@ -99,7 +94,6 @@ __all__ = [
     "DegenerateInputError",
     "DomainError",
     "EffortlabError",
-    "EvaluationPair",
     "FeatureSet",
     "InsufficientDataError",
     "LinearSystemSolution",
@@ -121,19 +115,15 @@ __all__ = [
     "build_candidate_frame",
     "build_frame",
     "bundled_dataset_path",
-    "encode_language",
     "evaluate",
     "f_upper_tail_p",
     "filter_complete",
     "fit_ols",
     "forward",
     "gradient",
-    "init_network",
-    "ln_gamma",
     "load_dataset",
     "mean_error",
     "mmre",
-    "mre",
     "normality_test",
     "parse_dataset",
     "pred",

@@ -19,7 +19,7 @@ import numpy as np
 from .ann import AnnConfig, predict_frame, train, train_seeds  # noqa: F401
 from .dataset import ProjectRecord
 from .errors import DomainError
-from .metrics import EvaluationPair, MetricsReport, evaluate
+from .metrics import MetricsReport, evaluate
 from .regression import FeatureSet, build_frame, fit_ols
 
 MODEL_NAMES = ("regression", "ann")
@@ -77,12 +77,6 @@ def scenarios() -> tuple[Scenario, ...]:
     )
 
 
-def _pairs(records: Sequence[ProjectRecord],
-           predicted: np.ndarray) -> list[EvaluationPair]:
-    return list(map(EvaluationPair, map(attrgetter("effort"), records),
-                    predicted.tolist()))
-
-
 def _median_report(reports: Sequence[MetricsReport]) -> MetricsReport:
     def med(attr: str) -> float:
         return float(np.median([getattr(r, attr) for r in reports]))
@@ -104,14 +98,15 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
     if model not in MODEL_NAMES:
         raise DomainError(f"unknown model {model!r}")
     frame = build_frame(records, scenario.features)
+    actual = list(map(attrgetter("effort"), records))
     if model == "regression":
         fit = fit_ols(frame)
         predicted = np.exp(frame.matrix @ fit.coefficients)
-        return evaluate(_pairs(records, predicted))
+        return evaluate(actual, predicted.tolist())
     if not seeds:
         raise DomainError("need at least one seed for the ann model")
     base = ann_config if ann_config is not None else AnnConfig()
-    reports = [evaluate(_pairs(records, predict_frame(net, frame)))
+    reports = [evaluate(actual, predict_frame(net, frame).tolist())
                for net, _ in train_seeds(frame, base, seeds)]
     return _median_report(reports)
 

@@ -96,7 +96,8 @@ def parameter_count(n_inputs: int, hidden_nodes: int) -> int:
     return hidden_nodes * n_inputs + 2 * hidden_nodes + 1
 
 
-def init_network(n_inputs: int, hidden_nodes: int, seed: int) -> np.ndarray:
+def _init_network(n_inputs: int, hidden_nodes: int,
+                  seed: int) -> np.ndarray:
     """Flat weight vector drawn uniformly from [-0.5, 0.5].
 
     Layout: hidden weights (row-major, one row per hidden node), hidden
@@ -281,7 +282,7 @@ def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
         fit_idx = np.concatenate([train_idx, holdout_idx])
         Z[i] = (X_all[fit_idx] - mean) / sd
         Y[i] = y_all[fit_idx]
-        W[i] = init_network(d, h, seed)
+        W[i] = _init_network(d, h, seed)
 
     loss, hold, A, R = _evaluate(W, Z, Y, n_train, h)
     # W is written in place below, so the best weights are copies

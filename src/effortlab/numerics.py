@@ -71,7 +71,7 @@ def solve_least_squares(design: np.ndarray,
     beta = _back_substitute(R, qty)
     resid = y - X @ beta
     rss = float(resid @ resid)
-    r_inv = _back_substitute_matrix(R, np.eye(p))
+    r_inv = _back_substitute(R, np.eye(p))
     unscaled = r_inv @ r_inv.T
     return LinearSystemSolution(
         coefficients=beta,
@@ -82,19 +82,15 @@ def solve_least_squares(design: np.ndarray,
 
 
 def _back_substitute(R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve R x = b for upper-triangular R; b is (p,) or (p, m)."""
     p = R.shape[1]
-    x = np.zeros(p)
+    x = np.zeros((p,) + b.shape[1:])
     for i in range(p - 1, -1, -1):
         x[i] = (b[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
     return x
 
 
-def _back_substitute_matrix(R: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.column_stack([_back_substitute(R, B[:, j])
-                            for j in range(B.shape[1])])
-
-
-def ln_gamma(x: float) -> float:
+def _ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if x <= 0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
@@ -111,7 +107,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+    ln_front = (_ln_gamma(a + b) - _ln_gamma(a) - _ln_gamma(b)
                 + a * math.log(x) + b * math.log1p(-x))
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):

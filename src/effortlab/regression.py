@@ -104,7 +104,7 @@ class StepwiseTrace:
     alpha: float = DEFAULT_ALPHA
 
 
-def encode_language(code: int) -> tuple[int, int]:
+def _encode_language(code: int) -> tuple[int, int]:
     """Two dummies for the three language categories; 4GL is the baseline."""
     if code == 1:
         return 1, 0
@@ -115,55 +115,40 @@ def encode_language(code: int) -> tuple[int, int]:
     raise DomainError(f"language code must be 1, 2 or 3, got {code}")
 
 
-def _ln(value: float, what: str, project_id: int) -> float:
-    if value <= 0:
-        raise TransformError(
-            f"cannot take ln of {what} = {value}", project_id=project_id
-        )
-    return math.log(value)
-
-
-def _column_value(name: str, record: ProjectRecord) -> float:
-    if name == "intercept":
-        return 1.0
-    if name == "ln_size":
-        return _ln(record.points_non_adjust, "size", record.project_id)
-    if name == "ln_transactions":
-        return _ln(record.transactions, "transactions", record.project_id)
-    if name == "ln_entities":
-        return _ln(record.entities, "entities", record.project_id)
-    if name == "lang_1":
-        return float(encode_language(record.language)[0])
-    if name == "lang_2":
-        return float(encode_language(record.language)[1])
-    if name == "team_exp":
-        return float(record.team_exp)
-    if name == "manager_exp":
-        return float(record.manager_exp)
-    if name == "envergure":
-        return float(record.envergure)
-    raise DomainError(f"unknown design column {name!r}")
-
-
 _LN_SOURCES = {"ln_size": "points_non_adjust",
-               "ln_transactions": "transactions", "ln_entities": "entities"}
-_DUMMIES = {f"lang_{k + 1}": {code: float(encode_language(code)[k])
+               "ln_transactions": "transactions", "ln_entities": "entities",
+               "ln_effort": "effort"}
+_DUMMIES = {f"lang_{k + 1}": {code: float(_encode_language(code)[k])
                               for code in (1, 2, 3)}
             for k in range(2)}
 _PLAIN = ("team_exp", "manager_exp", "envergure")
 
 
 def _column(name: str, records: Sequence[ProjectRecord]):
-    """One design column over all records, with the values _column_value
-    gives; raises ValueError or KeyError where one cannot be formed."""
+    """One design column over the records, or the response as ln_effort.
+
+    Where a value cannot be formed, raises the error of the first record
+    in order whose value is bad: TransformError naming the project for a
+    non-positive ln source, DomainError for an unknown language code.
+    """
     if name == "intercept":
-        return 1.0
+        return [1.0] * len(records)
     if name in _LN_SOURCES:
-        return list(map(math.log, map(attrgetter(_LN_SOURCES[name]),
-                                      records)))
+        values = list(map(attrgetter(_LN_SOURCES[name]), records))
+        try:
+            return list(map(math.log, values))
+        except ValueError:
+            rec, value = next((r, v) for r, v in zip(records, values)
+                              if v <= 0)
+            raise TransformError(f"cannot take ln of {name[3:]} = {value}",
+                                 project_id=rec.project_id) from None
     if name in _DUMMIES:
-        return list(map(_DUMMIES[name].__getitem__,
-                        map(attrgetter("language"), records)))
+        try:
+            return list(map(_DUMMIES[name].__getitem__,
+                            map(attrgetter("language"), records)))
+        except KeyError as exc:
+            _encode_language(exc.args[0])  # the first bad code; raises
+            raise
     if name in _PLAIN:
         return list(map(attrgetter(name), records))
     raise DomainError(f"unknown design column {name!r}")
@@ -180,15 +165,12 @@ def _frame_from_columns(records: Sequence[ProjectRecord],
     try:
         for j, name in enumerate(columns):
             matrix[:, j] = _column(name, records)
-        response = np.array(
-            list(map(math.log, map(attrgetter("effort"), records))),
-            dtype=float)
-    except (ValueError, KeyError):
+        response = np.array(_column("ln_effort", records))
+    except (TransformError, DomainError):
         # Report the first bad record in order, and its first bad value.
         for rec in records:
-            for name in columns:
-                _column_value(name, rec)
-            _ln(rec.effort, "effort", rec.project_id)
+            for name in columns + ("ln_effort",):
+                _column(name, (rec,))
         raise
     return ModelFrame(
         columns=columns,
@@ -243,23 +225,25 @@ def _subset(frame: ModelFrame, keep: Sequence[int]) -> ModelFrame:
     )
 
 
-def vif(frame: ModelFrame) -> dict[str, float]:
-    """Variance inflation factor of each non-intercept column, from the
-    R-squared of regressing that column on all the others."""
+def vif(frame: ModelFrame,
+        unscaled_covariance: np.ndarray) -> dict[str, float]:
+    """Variance inflation factor of each non-intercept column.
+
+    VIF_j = SST_j * [(X'X)^-1]_jj, read off the fit's unscaled
+    covariance: [(X'X)^-1]_jj is 1 / RSS_j of regressing column j on all
+    the others, so this is 1 / (1 - R_j^2) without that regression.
+    """
     out: dict[str, float] = {}
     for j, name in enumerate(frame.columns):
         if name == "intercept":
             continue
-        others = [k for k in range(len(frame.columns)) if k != j]
         target = frame.matrix[:, j]
         # on the values: a rounded mean leaves a constant column an SST
         # that is tiny but not zero
         if target.min() == target.max():
             raise DomainError(f"column {name!r} is constant")
         sst = float(np.sum((target - target.mean()) ** 2))
-        sol = solve_least_squares(frame.matrix[:, others], target)
-        r2 = 1.0 - sol.residual_sum_of_squares / sst
-        out[name] = 1.0 / max(1.0 - r2, 1e-12)
+        out[name] = min(sst * float(unscaled_covariance[j, j]), 1e12)
     return out
 
 
@@ -308,7 +292,7 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
         r_squared=r2,
         f_statistic=f_stat,
         f_p_value=f_p,
-        vif=vif(frame),
+        vif=vif(frame, sol.unscaled_covariance),
         n=n,
         df_residual=df_resid,
         smearing_factor=float(np.mean(np.exp(resid))),
@@ -430,7 +414,8 @@ def stepwise_select(frame: ModelFrame,
 def feature_row(columns: Sequence[str],
                 record: ProjectRecord) -> np.ndarray:
     """One design row for a record, in the given column order."""
-    return np.array([_column_value(c, record) for c in columns])
+    return np.array([_column(name, (record,))[0] for name in columns],
+                    dtype=float)
 
 
 def predict_effort(fit: RegressionFit, record: ProjectRecord,

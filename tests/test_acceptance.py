@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import effortlab as el
-from effortlab.ann import _half_sse
+from effortlab.ann import _half_sse, _init_network
 
 EXPECTED_COEFFICIENTS = {
     "intercept": 1.46,
@@ -140,7 +140,7 @@ def test_criterion_6_network_properties(complete_records, full_frame):
         n = int(rng.integers(5, 30))
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
-        w = el.init_network(d, h, seed=int(rng.integers(10 ** 6)))
+        w = _init_network(d, h, seed=int(rng.integers(10 ** 6)))
         g = el.gradient(w, X, y, h)
         eps = 1e-6
         fd = np.zeros_like(w)

@@ -74,7 +74,7 @@ def _reference_train(frame, config):
     Z_hold, y_hold = Z[holdout_idx], y_all[holdout_idx]
     d = len(keep)
     h = config.hidden_nodes if config.hidden_nodes is not None else d
-    w = el.init_network(d, h, config.seed)
+    w = ann._init_network(d, h, config.seed)
     n_params = len(w)
 
     loss = _half_sse(w, Z_train, y_train, h)
@@ -160,7 +160,7 @@ def test_kernels_bitwise_match_references():
     for d, h, n in ((7, 7, 62), (1, 3, 12), (4, 2, 15)):
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
-        w = el.init_network(d, h, seed=d * h)
+        w = ann._init_network(d, h, seed=d * h)
         _assert_bitwise(el.forward(w, X, h), _reference_forward(w, X, h))
         _assert_bitwise(el.gradient(w, X, y, h),
                         _reference_gradient(w, X, y, h))
@@ -171,7 +171,7 @@ def test_kernels_bitwise_equal_across_input_kinds():
     X = rng.normal(size=(20, 5))
     X_int = rng.integers(-3, 4, size=(20, 5))
     y = rng.normal(size=20)
-    w = el.init_network(5, 4, seed=3)
+    w = ann._init_network(5, 4, seed=3)
     for fast, other in ((X, X.tolist()), (X[:1], X[0]),
                         (X_int.astype(float), X_int)):
         _assert_bitwise(el.forward(w, other, 4), el.forward(w, fast, 4))
@@ -187,21 +187,21 @@ def test_parameter_count():
 
 
 def test_init_network_range_and_shape():
-    w = el.init_network(5, 4, seed=0)
+    w = ann._init_network(5, 4, seed=0)
     assert w.shape == (parameter_count(5, 4),)
     assert np.all(w >= -0.5) and np.all(w <= 0.5)
 
 
 def test_init_network_deterministic():
-    assert np.array_equal(el.init_network(6, 6, seed=9),
-                          el.init_network(6, 6, seed=9))
-    assert not np.array_equal(el.init_network(6, 6, seed=9),
-                              el.init_network(6, 6, seed=10))
+    assert np.array_equal(ann._init_network(6, 6, seed=9),
+                          ann._init_network(6, 6, seed=9))
+    assert not np.array_equal(ann._init_network(6, 6, seed=9),
+                              ann._init_network(6, 6, seed=10))
 
 
 def test_init_network_validates_sizes():
     with pytest.raises(el.DomainError):
-        el.init_network(0, 3, seed=0)
+        ann._init_network(0, 3, seed=0)
 
 
 def test_forward_matches_manual_computation():
@@ -213,7 +213,7 @@ def test_forward_matches_manual_computation():
 
 
 def test_forward_extreme_inputs_stay_finite():
-    params = el.init_network(2, 3, seed=1)
+    params = ann._init_network(2, 3, seed=1)
     x = np.array([[1e4, -1e4]])
     assert np.isfinite(el.forward(params, x, 3)).all()
 
@@ -226,7 +226,7 @@ def test_gradient_matches_central_differences():
         n = int(rng.integers(5, 25))
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
-        w = el.init_network(d, h, seed=int(rng.integers(1000)))
+        w = ann._init_network(d, h, seed=int(rng.integers(1000)))
         g = el.gradient(w, X, y, h)
         fd = _fd_gradient(w, X, y, h)
         scale = np.maximum(np.abs(g) + np.abs(fd), 1e-8)
@@ -243,7 +243,7 @@ def test_zero_iterations_returns_initial_weights(full_frame):
     config = el.AnnConfig(max_iterations=0, seed=5)
     model, trace = el.train(full_frame, config)
     d = len(full_frame.columns) - 1
-    assert np.array_equal(model.weights, el.init_network(d, d, seed=5))
+    assert np.array_equal(model.weights, ann._init_network(d, d, seed=5))
     assert trace.iterations == 0
     assert trace.stop_reason == STOP_MAX_ITERATIONS
     assert len(trace.train_sse) == 1
@@ -367,7 +367,7 @@ def test_seed_blocks_match_reference_loop(full_frame, monkeypatch):
 def test_negative_seed_in_a_batch_raises_before_any_training(full_frame,
                                                              monkeypatch):
     calls = []
-    for name in ("init_network", "_evaluate", "_backprop"):
+    for name in ("_init_network", "_evaluate", "_backprop"):
         monkeypatch.setattr(ann, name, lambda *args: calls.append(args))
     monkeypatch.setattr(ann, "_SEED_BLOCK", 2)
     with pytest.raises(el.DomainError, match="^seed must be >= 0$"):

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import effortlab as el
-from effortlab.metrics import EvaluationPair as Pair
+from effortlab.ann import _init_network
 
 shapes = st.floats(min_value=0.05, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -43,46 +43,47 @@ def test_t_p_value_properties(t, df):
 
 
 pair_lists = st.lists(
-    st.builds(Pair,
-              st.floats(min_value=0.5, max_value=1e5),
+    st.tuples(st.floats(min_value=0.5, max_value=1e5),
               st.floats(min_value=-1e5, max_value=1e5)),
     min_size=1, max_size=30,
-)
+).map(lambda pairs: tuple(map(list, zip(*pairs))))
 
 
 @given(pair_lists, st.randoms())
 def test_metrics_permutation_invariant(pairs, rnd):
-    shuffled = list(pairs)
-    rnd.shuffle(shuffled)
-    assert el.mmre(shuffled) == pytest.approx(el.mmre(pairs))
-    assert el.pred(shuffled) == el.pred(pairs)
-    assert el.rmse(shuffled) == pytest.approx(el.rmse(pairs))
-    assert el.mean_error(shuffled) == pytest.approx(el.mean_error(pairs))
+    order = list(range(len(pairs[0])))
+    rnd.shuffle(order)
+    shuffled = [[values[i] for i in order] for values in pairs]
+    assert el.mmre(*shuffled) == pytest.approx(el.mmre(*pairs))
+    assert el.pred(*shuffled) == el.pred(*pairs)
+    assert el.rmse(*shuffled) == pytest.approx(el.rmse(*pairs))
+    assert el.mean_error(*shuffled) == pytest.approx(el.mean_error(*pairs))
 
 
 @given(pair_lists, st.floats(min_value=0.01, max_value=100.0))
 def test_metrics_scale_behavior(pairs, scale):
-    scaled = [Pair(p.actual * scale, p.predicted * scale) for p in pairs]
-    assert el.mmre(scaled) == pytest.approx(el.mmre(pairs), rel=1e-9)
-    assert el.pred(scaled) == pytest.approx(el.pred(pairs))
-    assert el.rmse(scaled) == pytest.approx(el.rmse(pairs) * scale, rel=1e-9)
-    assert el.mean_error(scaled) == pytest.approx(
-        el.mean_error(pairs) * scale, rel=1e-9, abs=1e-9)
+    scaled = [[v * scale for v in values] for values in pairs]
+    assert el.mmre(*scaled) == pytest.approx(el.mmre(*pairs), rel=1e-9)
+    assert el.pred(*scaled) == pytest.approx(el.pred(*pairs))
+    assert el.rmse(*scaled) == pytest.approx(el.rmse(*pairs) * scale,
+                                             rel=1e-9)
+    assert el.mean_error(*scaled) == pytest.approx(
+        el.mean_error(*pairs) * scale, rel=1e-9, abs=1e-9)
 
 
 @given(pair_lists)
-@example([Pair(24233.760543180993, 4777.0)] * 3)
+@example(([24233.760543180993] * 3, [4777.0] * 3))
 def test_rmse_dominates_mean_error(pairs):
     # equal errors make rmse and |mean error| the same real number, and
     # rounding can leave rmse an ulp below; allow a few ulps of |me|
-    me = abs(el.mean_error(pairs))
-    assert el.rmse(pairs) + 1e-12 + 4 * np.spacing(me) >= me
+    me = abs(el.mean_error(*pairs))
+    assert el.rmse(*pairs) + 1e-12 + 4 * np.spacing(me) >= me
 
 
 @given(pair_lists)
 def test_mmre_nonnegative_and_pred_in_unit(pairs):
-    assert el.mmre(pairs) >= 0.0
-    assert 0.0 <= el.pred(pairs) <= 1.0
+    assert el.mmre(*pairs) >= 0.0
+    assert 0.0 <= el.pred(*pairs) <= 1.0
 
 
 @settings(max_examples=40)
@@ -183,5 +184,5 @@ def test_normality_statistic_affine_invariant(seed, scale, shift):
 
 @given(st.integers(0, 10 ** 4))
 def test_network_init_bounds(seed):
-    w = el.init_network(4, 3, seed=seed)
+    w = _init_network(4, 3, seed=seed)
     assert np.all(np.abs(w) <= 0.5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import effortlab as el
+from effortlab.regression import _encode_language
 
 
 def _record(**overrides):
@@ -18,14 +19,14 @@ def _record(**overrides):
 
 
 def test_encode_language():
-    assert el.encode_language(1) == (1, 0)
-    assert el.encode_language(2) == (0, 1)
-    assert el.encode_language(3) == (0, 0)
+    assert _encode_language(1) == (1, 0)
+    assert _encode_language(2) == (0, 1)
+    assert _encode_language(3) == (0, 0)
 
 
 def test_encode_language_rejects_unknown():
     with pytest.raises(el.DomainError):
-        el.encode_language(4)
+        _encode_language(4)
 
 
 def test_frame_column_order(full_frame):
@@ -40,7 +41,7 @@ def test_frame_content(complete_records, full_frame):
     row = full_frame.matrix[0]
     assert row[0] == 1.0
     assert row[1] == pytest.approx(math.log(rec.points_non_adjust))
-    assert tuple(row[2:4]) == el.encode_language(rec.language)
+    assert tuple(row[2:4]) == _encode_language(rec.language)
     assert row[4] == rec.team_exp
     assert full_frame.response[0] == pytest.approx(math.log(rec.effort))
     assert full_frame.project_ids[0] == rec.project_id
@@ -71,7 +72,7 @@ def _rowwise_frame(records, columns):
             attr = {"ln_size": "points_non_adjust"}.get(name, name[3:])
             return math.log(getattr(rec, attr))
         if name in ("lang_1", "lang_2"):
-            return float(el.encode_language(rec.language)[int(name[-1]) - 1])
+            return float(_encode_language(rec.language)[int(name[-1]) - 1])
         return float(getattr(rec, name))
 
     matrix = np.array([[cell(c, rec) for c in columns] for rec in records],
@@ -181,19 +182,57 @@ def test_model_f_test(full_frame):
     assert fit.f_p_value < 1e-6
 
 
-def test_vif_matches_auxiliary_regressions(full_frame):
-    fit = el.fit_ols(full_frame)
-    X = full_frame.matrix
-    for j, name in enumerate(full_frame.columns):
+def _auxiliary_vifs(frame):
+    """SST_j / RSS_j from regressing each non-intercept column on all the
+    others, by numpy's SVD least squares."""
+    X = frame.matrix
+    out = {}
+    for j, name in enumerate(frame.columns):
         if name == "intercept":
-            assert name not in fit.vif
             continue
         others = [k for k in range(X.shape[1]) if k != j]
         beta = np.linalg.lstsq(X[:, others], X[:, j], rcond=None)[0]
         resid = X[:, j] - X[:, others] @ beta
         sst = float(np.sum((X[:, j] - X[:, j].mean()) ** 2))
-        expected = 1.0 / (1.0 - (1.0 - float(resid @ resid) / sst))
-        assert fit.vif[name] == pytest.approx(expected, rel=1e-9)
+        out[name] = sst / float(resid @ resid)
+    return out
+
+
+def test_vif_matches_auxiliary_regressions(complete_records):
+    frames = [el.build_frame(complete_records, s.features)
+              for s in el.scenarios()]
+    frames.append(el.build_candidate_frame(complete_records))
+    for frame in frames:
+        fit = el.fit_ols(frame)
+        assert "intercept" not in fit.vif
+        expected = _auxiliary_vifs(frame)
+        assert fit.vif.keys() == expected.keys()
+        for name, value in expected.items():
+            assert fit.vif[name] == pytest.approx(value, rel=1e-12), name
+    # without an intercept the others' regression is uncentred while SST
+    # stays centred, so a VIF can fall below 1; the identity still holds
+    frame = el.ModelFrame(columns=frames[0].columns[1:],
+                          matrix=frames[0].matrix[:, 1:],
+                          response=frames[0].response,
+                          project_ids=frames[0].project_ids)
+    cov = el.solve_least_squares(frame.matrix,
+                                 frame.response).unscaled_covariance
+    got = el.vif(frame, cov)
+    for name, value in _auxiliary_vifs(frame).items():
+        assert got[name] == pytest.approx(value, rel=1e-12), name
+    assert got["ln_size"] < 1.0
+
+
+def test_fit_makes_one_least_squares_solve(full_frame, monkeypatch):
+    solves = []
+
+    def counted(design, response):
+        solves.append(design.shape)
+        return el.solve_least_squares(design, response)
+
+    monkeypatch.setattr(el.regression, "solve_least_squares", counted)
+    el.fit_ols(full_frame)
+    assert solves == [full_frame.matrix.shape]
 
 
 def test_single_predictor_vif_is_one(complete_records):
@@ -238,8 +277,10 @@ def test_vif_names_constant_column(full_frame):
         response=full_frame.response,
         project_ids=full_frame.project_ids,
     )
+    cov = el.solve_least_squares(frame.matrix,
+                                 frame.response).unscaled_covariance
     with pytest.raises(el.DomainError, match="^column 'flat' is constant$"):
-        el.vif(frame)
+        el.vif(frame, cov)
 
 
 def test_collinear_frame_names_column(complete_records, full_frame):
@@ -364,3 +405,26 @@ def test_smearing_factor_is_mean_exp_residual(full_frame):
     fit = el.fit_ols(full_frame)
     resid = full_frame.response - full_frame.matrix @ fit.coefficients
     assert fit.smearing_factor == pytest.approx(float(np.mean(np.exp(resid))))
+
+
+@pytest.mark.parametrize("build", [el.build_frame, el.build_candidate_frame])
+def test_feature_row_equals_frame_row_bit_for_bit(build, complete_records):
+    frame = build(complete_records)
+    for i, rec in enumerate(complete_records):
+        row = el.regression.feature_row(frame.columns, rec)
+        assert np.array_equal(row.view(np.int64),
+                              frame.matrix[i].view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [dict(points_non_adjust=0.0),
+                                 dict(language=4)],
+                         ids=["size-0", "language-4"])
+def test_predict_effort_raises_what_build_frame_raises(bad, full_frame):
+    fit = el.fit_ols(full_frame)
+    record = _record(project_id=5, **bad)
+    with pytest.raises(el.EffortlabError) as built:
+        el.build_frame([record])
+    with pytest.raises(type(built.value), match=f"^{built.value}$"):
+        el.predict_effort(fit, record)
+    assert str(built.value) in ("project 5: cannot take ln of size = 0.0",
+                                "language code must be 1, 2 or 3, got 4")
