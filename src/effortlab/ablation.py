@@ -24,10 +24,6 @@ from .regression import FeatureSet, build_frame, fit_ols
 
 MODEL_NAMES = ("regression", "ann")
 
-SCENARIO_NAMES = (
-    "full", "no-env", "no-language", "no-texp", "no-mexp", "size-only",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class Scenario:

@@ -117,12 +117,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matrix(x) -> np.ndarray:
-    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
-        return x
-    return np.atleast_2d(np.asarray(x, dtype=float))
-
-
 # The kernels take one network's parameters (P,) with inputs (n, d), or a
 # stack (S, P) with inputs (S, n, d).
 
@@ -162,14 +156,14 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def forward(params: np.ndarray, inputs: np.ndarray,
             hidden_nodes: int) -> np.ndarray:
     """Network outputs (ln-effort scale) for standardized inputs."""
-    activations = _hidden(params, _matrix(inputs), hidden_nodes)
-    return _output(params, activations, hidden_nodes)
+    X = np.atleast_2d(np.asarray(inputs, dtype=float))
+    return _output(params, _hidden(params, X, hidden_nodes), hidden_nodes)
 
 
 def gradient(params: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
              hidden_nodes: int) -> np.ndarray:
     """Gradient of half the sum of squared errors, by backpropagation."""
-    X = _matrix(inputs)
+    X = np.atleast_2d(np.asarray(inputs, dtype=float))
     activations = _hidden(params, X, hidden_nodes)
     delta_out = (_output(params, activations, hidden_nodes)
                  - np.asarray(targets, dtype=float))

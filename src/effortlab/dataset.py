@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import islice
 from operator import attrgetter
@@ -42,24 +43,6 @@ _ID_COLUMN = "Project"
 _CHUNK_ROWS = 2048
 
 ADJUST_TOLERANCE = 0.02
-
-_FIELD_NAMES = (
-    "project_id",
-    "team_exp",
-    "manager_exp",
-    "year_end",
-    "length",
-    "effort",
-    "transactions",
-    "entities",
-    "points_non_adjust",
-    "envergure",
-    "points_adjust",
-    "language",
-)
-
-# All twelve fields of a record, in COLUMNS order, as one tuple.
-_FIELDS = attrgetter(*_FIELD_NAMES)
 
 SUMMARY_ATTRIBUTES = (
     "team_exp",
@@ -112,6 +95,10 @@ class ProjectRecord:
     envergure: int
     points_adjust: float
     language: int
+
+
+# All twelve fields of a record, in COLUMNS order, as one tuple.
+_FIELDS = attrgetter(*(f.name for f in fields(RawRecord)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,66 +175,51 @@ def _convert_column(tokens: tuple[str, ...], convert, column: str,
         return [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]
 
 
-def _chunk_by_column(chunk: list[tuple[int, list[str]]], width: int,
-                     specs: list, seen: set) -> list[RawRecord] | None:
-    """Records of a chunk whose rows are all well formed, else None."""
-    if any(len(tokens) != width for _, tokens in chunk):
-        return None
-    row_nos = [row_no for row_no, _ in chunk]
-    cells = list(zip(*(tokens for _, tokens in chunk)))
-    try:
-        values = [_convert_column(cells[i], convert, column, row_nos)
-                  for i, convert, column in specs]
-    except ParseError:
-        return None
-    ids = values[0]
-    if None in ids or len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
-        return None
-    seen.update(ids)
-    return list(map(RawRecord, *values))
-
-
-def _chunk_by_row(chunk: list[tuple[int, list[str]]], width: int,
-                  index: dict[str, int], seen: set) -> list[RawRecord]:
-    """Records of a chunk one cell at a time; raises the chunk's first
-    error in file order."""
-    records = []
+def _chunk(chunk: list[tuple[int, list[str]]], width: int, specs: list,
+           seen: set) -> list[RawRecord]:
+    """Records of a chunk, converted column by column. Raises the first
+    failing check: each row's width, then each column in COLUMNS order,
+    then a missing id, then a duplicate id; for a one-row chunk that is
+    the row's own error."""
     for row_no, tokens in chunk:
         if len(tokens) != width:
             raise ParseError(
                 f"expected {width} fields, got {len(tokens)}", row=row_no,
             )
-        values = [_parse_value(tokens[index[c]], c, row_no) for c in COLUMNS]
-        project_id = values[0]
-        if project_id is None:
-            raise ParseError("missing project id", row=row_no)
-        if project_id in seen:
-            raise SchemaError(f"duplicate project id {project_id}")
-        seen.add(project_id)
-        records.append(RawRecord(*values))
-    return records
+    row_nos = [row_no for row_no, _ in chunk]
+    cells = list(zip(*(tokens for _, tokens in chunk)))
+    values = [_convert_column(cells[i], convert, column, row_nos)
+              for i, convert, column in specs]
+    ids = values[0]
+    if None in ids:
+        raise ParseError("missing project id", row=row_nos[ids.index(None)])
+    if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+        duplicate = next(i for i, n in Counter(ids).items()
+                         if n > 1 or i in seen)
+        raise SchemaError(f"duplicate project id {duplicate}")
+    seen.update(ids)  # last: a chunk that fails is converted again
+    return list(map(RawRecord, *values))
 
 
 def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
                        columns: list[str]) -> list[RawRecord]:
-    """Rows are converted a chunk at a time, column by column. A chunk
-    with a malformed row is converted again row by row, which reports the
-    same first error as a row-by-row parse of the whole file: every
-    earlier chunk was clean."""
+    """Rows are converted a chunk at a time. A chunk that fails is
+    converted again one row at a time: every earlier row was clean, so
+    the first row that fails alone raises the file's first error."""
     missing = [c for c in COLUMNS if c not in columns]
     if missing:
         raise SchemaError(f"missing attributes: {', '.join(missing)}")
-    index = {c: columns.index(c) for c in COLUMNS}
-    specs = [(index[c], float if c in _FLOAT_COLUMNS else int, c)
+    specs = [(columns.index(c), float if c in _FLOAT_COLUMNS else int, c)
              for c in COLUMNS]
     records: list[RawRecord] = []
     seen: set = set()
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        batch = _chunk_by_column(chunk, len(columns), specs, seen)
-        if batch is None:
-            batch = _chunk_by_row(chunk, len(columns), index, seen)
-        records.extend(batch)
+        try:
+            records.extend(_chunk(chunk, len(columns), specs, seen))
+        except (ParseError, SchemaError):
+            for row in chunk:
+                records.extend(_chunk([row], len(columns), specs, seen))
     return records
 
 

@@ -4,8 +4,11 @@ import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effortlab as el
+from effortlab import dataset
 from effortlab.dataset import COLUMNS
 
 HEADER = ",".join(COLUMNS)
@@ -158,6 +161,70 @@ def test_columns_may_be_reordered():
     records = _parse(",".join(cols) + "\n" + ",".join(row) + "\n")
     assert records[0].team_exp == 1
     assert records[0].manager_exp == 4
+
+
+# Cell tokens that are missing, malformed, not finite or out of range.
+_FAULTS = ("", "?", "x", "nan", "1e999", "9" * 400, "2.5")
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small CSV texts with bad tokens, short and long rows, missing and
+    repeated ids and permuted headers; about half the rows are clean."""
+    columns = draw(st.permutations(COLUMNS))
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 7))):
+        cells = [str(draw(st.integers(0, 99))) for _ in columns]
+        cells[columns.index("Project")] = str(draw(st.integers(1, 5)))
+        fault = draw(st.integers(0, 2 * len(_FAULTS) + 1))
+        if fault < len(_FAULTS):
+            cells[draw(st.integers(0, len(cells) - 1))] = _FAULTS[fault]
+        elif fault == len(_FAULTS):
+            cells.pop()
+        elif fault == len(_FAULTS) + 1:
+            cells.append("1")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(text):
+    try:
+        return _parse(text)
+    except (el.ParseError, el.SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_texts())
+def test_chunk_size_does_not_change_records_or_first_error(text):
+    # set in the body: a function-scoped fixture trips hypothesis
+    default = dataset._CHUNK_ROWS
+    outcomes = []
+    try:
+        for rows in (1, 2, 3, default):
+            dataset._CHUNK_ROWS = rows
+            outcomes.append(_outcome(text))
+    finally:
+        dataset._CHUNK_ROWS = default
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def test_duplicate_id_across_the_chunk_boundary():
+    first = [ROW_2.replace("2,", f"{i},", 1)
+             for i in range(1, dataset._CHUNK_ROWS + 1)]
+    again = ROW_2.replace("2,", "7,", 1)
+    fresh = ROW_2.replace("2,", f"{dataset._CHUNK_ROWS + 1},", 1)
+    records = _parse("\n".join([HEADER, *first, fresh]) + "\n")
+    assert len(records) == dataset._CHUNK_ROWS + 1
+    with pytest.raises(el.SchemaError, match="^duplicate project id 7$"):
+        _parse("\n".join([HEADER, *first, again]) + "\n")
+
+
+def test_record_classes_list_the_columns_fields_in_one_order():
+    # filter_complete copies a RawRecord into a ProjectRecord by position
+    raw = [f.name for f in dataclasses.fields(el.RawRecord)]
+    assert [f.name for f in dataclasses.fields(el.ProjectRecord)] == raw
+    assert len(raw) == len(COLUMNS)
 
 
 def test_arff_like_matches_csv(raw_records):
