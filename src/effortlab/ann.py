@@ -110,9 +110,10 @@ def _init_network(n_inputs: int, hidden_nodes: int,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # e = exp(-|z|) cannot overflow: 1/(1+e) for z >= 0, e/(1+e) below
+    # e = exp(-|z|) cannot overflow: 1/(1+e) for z >= 0, e/(1+e) below;
+    # e <= 1, so the maximum picks 1.0 or e exactly, without a branch
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, (z >= 0).astype(float))
     out /= 1.0 + e
     return out
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
 from operator import attrgetter
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import DomainError, ParseError, SchemaError
 
@@ -58,8 +58,7 @@ SUMMARY_ATTRIBUTES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     """One data row as parsed; every non-id field may be absent (None)."""
 
     project_id: int
@@ -76,11 +75,10 @@ class RawRecord:
     language: int | None = None
 
     def is_complete(self) -> bool:
-        return None not in _FIELDS(self)
+        return None not in self
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectRecord:
+class ProjectRecord(NamedTuple):
     """One complete project row."""
 
     project_id: int
@@ -95,10 +93,6 @@ class ProjectRecord:
     envergure: int
     points_adjust: float
     language: int
-
-
-# All twelve fields of a record, in COLUMNS order, as one tuple.
-_FIELDS = attrgetter(*(f.name for f in fields(RawRecord)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +203,9 @@ def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
     missing = [c for c in COLUMNS if c not in columns]
     if missing:
         raise SchemaError(f"missing attributes: {', '.join(missing)}")
+    duplicate = [c for c in COLUMNS if columns.count(c) > 1]
+    if duplicate:
+        raise SchemaError(f"duplicate attributes: {', '.join(duplicate)}")
     specs = [(columns.index(c), float if c in _FLOAT_COLUMNS else int, c)
              for c in COLUMNS]
     records: list[RawRecord] = []
@@ -305,8 +302,7 @@ def filter_complete(records: list[RawRecord]) -> list[ProjectRecord]:
     """Keep records with all twelve fields present, preserving order."""
     out = []
     for rec in records:
-        values = _FIELDS(rec)
-        if None in values:
+        if None in rec:
             continue
         if rec.effort <= 0:
             raise DomainError(
@@ -321,7 +317,7 @@ def filter_complete(records: list[RawRecord]) -> list[ProjectRecord]:
                 f"project {rec.project_id}: language code {rec.language} "
                 f"not in 1..3"
             )
-        out.append(ProjectRecord(*values))
+        out.append(ProjectRecord._make(rec))
     return out
 
 
@@ -374,7 +370,7 @@ def serialize_records(records: Iterable[RawRecord | ProjectRecord]) -> str:
     lines = [",".join(COLUMNS)]
     for rec in records:
         tokens = []
-        for value in _FIELDS(rec):
+        for value in rec:
             if value is None:
                 tokens.append("?")
             elif isinstance(value, float) and value == int(value):

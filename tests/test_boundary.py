@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import effortlab as el
 from effortlab import cli, errors
-from effortlab.dataset import _FIELDS, COLUMNS
+from effortlab.dataset import COLUMNS
 
 # Tokens a damaged or hand-edited file may hold in any cell.
 odd_tokens = st.one_of(
@@ -161,7 +161,7 @@ def test_cli_gives_a_report_or_an_error_line(data_path, data, argv):
 
 def _unchecked_filter(records):
     """filter_complete without its domain checks."""
-    return [el.ProjectRecord(*_FIELDS(r)) for r in records
+    return [el.ProjectRecord._make(r) for r in records
             if r.is_complete()]
 
 

@@ -109,6 +109,17 @@ def test_non_finite_token_is_data_error(capsys, tmp_path, command, field,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_duplicate_attribute_is_data_error(capsys, tmp_path):
+    def edit(data):
+        lines = data.decode().splitlines()
+        rows = [f"Effort,{lines[0]}", *(f"1.0,{line}" for line in lines[1:])]
+        return ("\n".join(rows) + "\n").encode()
+
+    path = _bundled_with(tmp_path, edit)
+    code, out, err = _capture(capsys, ["fit", "--dataset", path])
+    assert (code, out, err) == (1, "", "error: duplicate attributes: Effort\n")
+
+
 def test_byte_order_mark_is_accepted(capsys, tmp_path):
     path = _bundled_with(tmp_path, lambda data: codecs.BOM_UTF8 + data)
     for command in ("validate", "summarize", "fit"):

@@ -1,6 +1,5 @@
 """Parsing, validation, and summary of the project dataset."""
 
-import dataclasses
 import io
 
 import pytest
@@ -54,6 +53,21 @@ def test_missing_column_is_schema_error():
     header = ",".join(COLUMNS[:-1])
     with pytest.raises(el.SchemaError):
         _parse(f"{header}\n1,1,4,85,12,5152,253,52,305,34,302\n")
+
+
+def test_duplicate_attribute_is_schema_error():
+    # an unknown column may repeat; an attribute of the schema may not
+    extra = f"Note,Note,{HEADER}\nx,y,{ROW_1}\n"
+    assert _parse(extra)[0].effort == 5152
+    with pytest.raises(el.SchemaError, match="^duplicate attributes: Effort$"):
+        _parse(f"Effort,{HEADER}\n1.0,{ROW_1}\n")
+
+
+def test_duplicate_arff_attribute_is_schema_error():
+    attrs = "\n".join(f"@attribute {c} numeric" for c in ("Effort", *COLUMNS))
+    text = f"@relation projects\n{attrs}\n@data\n1.0,{ROW_1}\n"
+    with pytest.raises(el.SchemaError, match="^duplicate attributes: Effort$"):
+        _parse(text, format="arff-like")
 
 
 def test_duplicate_project_id_is_schema_error():
@@ -222,9 +236,37 @@ def test_duplicate_id_across_the_chunk_boundary():
 
 def test_record_classes_list_the_columns_fields_in_one_order():
     # filter_complete copies a RawRecord into a ProjectRecord by position
-    raw = [f.name for f in dataclasses.fields(el.RawRecord)]
-    assert [f.name for f in dataclasses.fields(el.ProjectRecord)] == raw
+    raw = el.RawRecord._fields
+    assert el.ProjectRecord._fields == raw
     assert len(raw) == len(COLUMNS)
+
+
+def test_records_are_immutable(raw_records, complete_records):
+    for rec in (raw_records[0], complete_records[0]):
+        with pytest.raises(AttributeError):
+            rec.effort = 1.0
+
+
+def test_record_repr_names_every_field(raw_records):
+    assert repr(raw_records[0]) == (
+        "RawRecord(project_id=1, team_exp=1, manager_exp=4, year_end=85, "
+        "length=12, effort=5152.0, transactions=253, entities=52, "
+        "points_non_adjust=305.0, envergure=34, points_adjust=302.0, "
+        "language=1)")
+
+
+def test_record_values_follow_the_columns(raw_records):
+    with open(el.bundled_dataset_path()) as fh:
+        header, row = next(fh).strip(), next(fh).strip()
+    assert header == HEADER
+    assert tuple(raw_records[0]) == tuple(map(float, row.split(",")))
+
+
+def test_filter_complete_copies_each_record(raw_records, complete_records):
+    by_id = {rec.project_id: rec for rec in raw_records}
+    for rec in complete_records:
+        assert type(rec) is el.ProjectRecord
+        assert rec == by_id[rec.project_id]
 
 
 def test_arff_like_matches_csv(raw_records):
@@ -345,7 +387,7 @@ def test_summary_bounds_are_consistent(complete_records):
                          ids=["square", "mean"])
 def test_summary_beyond_the_float_range_is_domain_error(complete_records,
                                                         efforts):
-    records = [dataclasses.replace(r, effort=e)
+    records = [r._replace(effort=e)
                for r, e in zip(complete_records, efforts)]
     with pytest.raises(el.DomainError, match="^effort values are too large"):
         el.summarize(records)
