@@ -89,7 +89,7 @@ def _median_report(reports: Sequence[MetricsReport]) -> MetricsReport:
 
 def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
                  model: str, seeds: Sequence[int] = (0,),
-                 ann_config: AnnConfig | None = None) -> MetricsReport:
+                 ann_config: AnnConfig = AnnConfig()) -> MetricsReport:
     """Score one scenario/model cell on raw effort over all records."""
     if model not in MODEL_NAMES:
         raise DomainError(f"unknown model {model!r}")
@@ -99,17 +99,14 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
         fit = fit_ols(frame)
         predicted = np.exp(frame.matrix @ fit.coefficients)
         return evaluate(actual, predicted.tolist())
-    if not seeds:
-        raise DomainError("need at least one seed for the ann model")
-    base = ann_config if ann_config is not None else AnnConfig()
     reports = [evaluate(actual, predict_frame(net, frame).tolist())
-               for net, _ in train_seeds(frame, base, seeds)]
+               for net, _ in train_seeds(frame, ann_config, seeds)]
     return _median_report(reports)
 
 
 def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
                  seeds: Sequence[int] = (0,),
-                 ann_config: AnnConfig | None = None) -> AblationTable:
+                 ann_config: AnnConfig = AnnConfig()) -> AblationTable:
     """All six scenarios for the requested model(s).
 
     Regression cells are deterministic; ann cells are the per-metric
@@ -129,14 +126,13 @@ def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
                 records, scen, m, seeds=seeds, ann_config=ann_config,
             )
     uses_ann = "ann" in models
-    base = ann_config if ann_config is not None else AnnConfig()
     return AblationTable(
         scenarios=scens,
         models=models,
         cells=cells,
         n=len(records),
         seeds=tuple(seeds) if uses_ann else (),
-        ann_config=base if uses_ann else None,
+        ann_config=ann_config if uses_ann else None,
     )
 
 

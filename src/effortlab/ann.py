@@ -33,10 +33,9 @@ reference formulas; tests/test_ann.py and tests/golden/ pin them.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +68,6 @@ class AnnConfig:
     min_improvement_delta: float = 1e-6
     min_gradient: float = 1e-6
     holdout_fraction: float = 0.20
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +78,7 @@ class AnnModel:
     input_mean: np.ndarray
     input_sd: np.ndarray
     config: AnnConfig
+    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +199,8 @@ def check_config(config: AnnConfig, seeds: Sequence[int]) -> None:
     """Raise DomainError for settings that no training accepts."""
     if config.max_iterations < 0:
         raise DomainError("max_iterations must be >= 0")
+    if not seeds:
+        raise DomainError("need at least one seed")
     if any(seed < 0 for seed in seeds):
         raise DomainError("seed must be >= 0")
     if not 0.0 < config.holdout_fraction < 0.5:
@@ -208,23 +209,23 @@ def check_config(config: AnnConfig, seeds: Sequence[int]) -> None:
         raise DomainError("hidden_nodes must be >= 1")
 
 
-def train(frame: ModelFrame,
-          config: AnnConfig = AnnConfig()) -> tuple[AnnModel, TrainingTrace]:
+def train(frame: ModelFrame, config: AnnConfig = AnnConfig(),
+          seed: int = 0) -> tuple[AnnModel, TrainingTrace]:
     """Train on a frame's non-intercept columns against ln(effort).
 
-    The holdout rows are a seeded random fifth of the data (by default);
-    input standardization uses training rows only. Returns the weights
-    with the best holdout error seen, not the last iterate.
+    The seed draws the initial weights and the holdout rows, a random
+    fifth of the data by default; input standardization uses training
+    rows only. Returns the weights with the best holdout error seen, not
+    the last iterate.
     """
-    return next(train_seeds(frame, config, [config.seed]))
+    return train_seeds(frame, config, [seed])[0]
 
 
 def train_seeds(frame: ModelFrame, config: AnnConfig, seeds: Sequence[int]
-                ) -> Iterator[tuple[AnnModel, TrainingTrace]]:
-    """What train gives for each seed in turn, with config's other
-    settings, in the order of the seeds. The config and every seed are
-    checked before any training; the seeds then train in lockstep, a
-    block at a time as the results are consumed."""
+                ) -> list[tuple[AnnModel, TrainingTrace]]:
+    """What train gives for each seed, in the order of the seeds. The
+    config and every seed are checked before any training; the seeds
+    then train in lockstep, a block at a time."""
     check_config(config, seeds)
     feature_columns = frame.predictor_columns()
     if not feature_columns:
@@ -232,9 +233,9 @@ def train_seeds(frame: ModelFrame, config: AnnConfig, seeds: Sequence[int]
     n = len(frame.response)
     if n < 10:
         raise InsufficientDataError(f"need at least 10 records, got {n}")
-    return itertools.chain.from_iterable(
-        _train_block(frame, feature_columns, config, seeds[i:i + _SEED_BLOCK])
-        for i in range(0, len(seeds), _SEED_BLOCK))
+    return [trained for i in range(0, len(seeds), _SEED_BLOCK)
+            for trained in _train_block(frame, feature_columns, config,
+                                        seeds[i:i + _SEED_BLOCK])]
 
 
 @dataclass(slots=True, eq=False)
@@ -354,7 +355,7 @@ def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
         W[rows], D[rows], G[rows] = T_go, D_go, G_go
     return [(AnnModel(weights=run.best_w, hidden_nodes=h,
                       feature_columns=feature_columns, input_mean=mean,
-                      input_sd=sd, config=replace(config, seed=seed)),
+                      input_sd=sd, config=config, seed=seed),
              TrainingTrace(iterations=run.iterations, stop_reason=run.stop,
                            train_sse=tuple(run.train_hist),
                            holdout_sse=tuple(run.hold_hist),

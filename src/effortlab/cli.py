@@ -177,9 +177,7 @@ def _ablation_report(table: AblationTable) -> _Report:
         "n": table.n,
         "models": list(table.models),
         "seeds": list(table.seeds),
-        # the seed of the configuration is replaced by the list above
-        "ann_config": None if config is None else {
-            k: v for k, v in asdict(config).items() if k != "seed"},
+        "ann_config": None if config is None else asdict(config),
         "cells": [{"scenario": scenario, "model": model,
                    "metrics": _metrics_body(values)}
                   for scenario, model, *values in rows],
@@ -311,6 +309,10 @@ def _model_flags(args: argparse.Namespace) -> tuple[list[int], AnnConfig]:
     the network's own rules whichever model runs."""
     if args.seeds < 1:
         raise EffortlabError("--seeds must be at least 1")
+    # a network's arrays grow with both, and past these no run is useful
+    for flag, value in (("--seeds", args.seeds), ("--hidden", args.hidden)):
+        if value is not None and value > 10000:
+            raise EffortlabError(f"{flag} must be at most 10000")
     seeds = [args.seed + i for i in range(args.seeds)]
     overrides = {"hidden_nodes": args.hidden, "max_iterations": args.max_iter}
     config = AnnConfig(**{k: v for k, v in overrides.items() if v is not None})
@@ -428,8 +430,8 @@ def run(argv: Sequence[str]) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
                 return 1
-    except (EffortlabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EffortlabError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return code
 

@@ -155,8 +155,8 @@ def test_criterion_6_network_properties(complete_records, full_frame):
     assert worst < 1e-5
 
     # (b) determinism
-    _, trace_a = el.train(full_frame, el.AnnConfig(seed=21))
-    _, trace_b = el.train(full_frame, el.AnnConfig(seed=21))
+    _, trace_a = el.train(full_frame, seed=21)
+    _, trace_b = el.train(full_frame, seed=21)
     assert trace_a.train_sse == trace_b.train_sse
     assert trace_a.holdout_sse == trace_b.holdout_sse
     assert trace_a.stop_reason == trace_b.stop_reason

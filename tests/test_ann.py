@@ -1,7 +1,5 @@
 """Network mechanics: initialization, gradients, training behavior."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -56,13 +54,13 @@ def _sse(params, X, y, h):
     return 2.0 * _half_sse(params, X, y, h)
 
 
-def _reference_train(frame, config):
+def _reference_train(frame, config, seed):
     # the training loop as it was before trials shared one hidden pass:
     # separate loss, gradient and holdout passes; must match bit for bit
     keep = [frame.columns.index(c) for c in frame.predictor_columns()]
     X_all, y_all = frame.matrix[:, keep], frame.response
     n = len(y_all)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     k = max(1, round(config.holdout_fraction * n))
     order = rng.permutation(n)
     holdout_idx, train_idx = np.sort(order[:k]), np.sort(order[k:])
@@ -74,7 +72,7 @@ def _reference_train(frame, config):
     Z_hold, y_hold = Z[holdout_idx], y_all[holdout_idx]
     d = len(keep)
     h = config.hidden_nodes if config.hidden_nodes is not None else d
-    w = ann._init_network(d, h, config.seed)
+    w = ann._init_network(d, h, seed)
     n_params = len(w)
 
     loss = _half_sse(w, Z_train, y_train, h)
@@ -240,10 +238,11 @@ def test_train_requires_ten_records(complete_records):
 
 
 def test_zero_iterations_returns_initial_weights(full_frame):
-    config = el.AnnConfig(max_iterations=0, seed=5)
-    model, trace = el.train(full_frame, config)
+    config = el.AnnConfig(max_iterations=0)
+    model, trace = el.train(full_frame, config, seed=5)
     d = len(full_frame.columns) - 1
     assert np.array_equal(model.weights, ann._init_network(d, d, seed=5))
+    assert model.seed == 5
     assert trace.iterations == 0
     assert trace.stop_reason == STOP_MAX_ITERATIONS
     assert len(trace.train_sse) == 1
@@ -255,7 +254,7 @@ def test_default_hidden_nodes_equal_inputs(full_frame):
 
 
 def test_training_sse_never_increases(full_frame):
-    _, trace = el.train(full_frame, el.AnnConfig(seed=2))
+    _, trace = el.train(full_frame, seed=2)
     diffs = np.diff(trace.train_sse)
     assert np.all(diffs <= 1e-12)
 
@@ -285,9 +284,8 @@ def test_training_bitwise_matches_reference_loop(full_frame,
                                     holdout_fraction=fraction)
                 batch = list(ann.train_seeds(frame, base, range(10)))
                 for seed, trained in enumerate(batch):
-                    config = replace(base, seed=seed)
-                    expected = _reference_train(frame, config)
-                    _assert_matches(el.train(frame, config), expected)
+                    expected = _reference_train(frame, base, seed)
+                    _assert_matches(el.train(frame, base, seed), expected)
                     _assert_matches(trained, expected)
 
 
@@ -310,7 +308,7 @@ def test_batch_with_mixed_stops_matches_reference_loop(full_frame, overrides,
     assert {trace.stop_reason for _, trace in batch} == reasons
     for seed, trained in enumerate(batch):
         _assert_matches(trained,
-                        _reference_train(full_frame, replace(base, seed=seed)))
+                        _reference_train(full_frame, base, seed))
 
 
 def test_batch_keeps_initial_weights_that_stay_best():
@@ -333,19 +331,19 @@ def test_batch_keeps_initial_weights_that_stay_best():
     assert any(trace.best_iteration == 0 and trace.iterations > 0
                for _, trace in batch)
     for seed, trained in enumerate(batch):
-        _assert_matches(trained, _reference_train(frame,
-                                                  el.AnnConfig(seed=seed)))
+        _assert_matches(trained, _reference_train(frame, el.AnnConfig(),
+                                                  seed))
 
 
 def test_batch_returns_results_in_the_order_of_the_seeds(full_frame):
     seeds = [7, 3, 7, 12, 0, 3]  # duplicates, gaps, not sorted
     base = el.AnnConfig(hidden_nodes=4)
     batch = list(ann.train_seeds(full_frame, base, seeds))
-    assert [model.config for model, _ in batch] == [
-        replace(base, seed=seed) for seed in seeds]
+    assert [(model.config, model.seed) for model, _ in batch] == [
+        (base, seed) for seed in seeds]
     for seed, trained in zip(seeds, batch):
         _assert_matches(trained,
-                        _reference_train(full_frame, replace(base, seed=seed)))
+                        _reference_train(full_frame, base, seed))
 
 
 def test_seed_blocks_match_reference_loop(full_frame, monkeypatch):
@@ -361,7 +359,7 @@ def test_seed_blocks_match_reference_loop(full_frame, monkeypatch):
     assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
     for seed, trained in enumerate(batch):
         _assert_matches(trained,
-                        _reference_train(full_frame, replace(base, seed=seed)))
+                        _reference_train(full_frame, base, seed))
 
 
 def test_negative_seed_in_a_batch_raises_before_any_training(full_frame,
@@ -370,8 +368,10 @@ def test_negative_seed_in_a_batch_raises_before_any_training(full_frame,
     for name in ("_init_network", "_evaluate", "_backprop"):
         monkeypatch.setattr(ann, name, lambda *args: calls.append(args))
     monkeypatch.setattr(ann, "_SEED_BLOCK", 2)
-    with pytest.raises(el.DomainError, match="^seed must be >= 0$"):
-        list(ann.train_seeds(full_frame, el.AnnConfig(), [0, 1, 2, -1, 4]))
+    for seeds, message in (([0, 1, 2, -1, 4], "^seed must be >= 0$"),
+                           ([], "^need at least one seed$")):
+        with pytest.raises(el.DomainError, match=message):
+            list(ann.train_seeds(full_frame, el.AnnConfig(), seeds))
     assert calls == []
 
 
@@ -390,7 +390,7 @@ def test_line_search_is_warm_started(full_frame, monkeypatch):
     expected = {0: 140, 1: 145, 2: 203, 3: 177, 4: 153}
     for seed, searches in expected.items():
         calls.update(dict.fromkeys(calls, 0))
-        _, trace = el.train(full_frame, el.AnnConfig(seed=seed))
+        _, trace = el.train(full_frame, seed=seed)
         assert trace.iterations > 0
         assert calls["_evaluate"] - 1 == searches
         assert searches <= 3 * trace.iterations
@@ -400,14 +400,14 @@ def test_line_search_is_warm_started(full_frame, monkeypatch):
 
 def test_best_holdout_never_worse_than_initial(full_frame):
     for seed in range(4):
-        _, trace = el.train(full_frame, el.AnnConfig(seed=seed))
+        _, trace = el.train(full_frame, seed=seed)
         assert trace.best_holdout_sse <= trace.holdout_sse[0]
         assert trace.best_holdout_sse == min(trace.holdout_sse)
 
 
 def test_identical_seeds_identical_traces(full_frame):
-    _, a = el.train(full_frame, el.AnnConfig(seed=33))
-    _, b = el.train(full_frame, el.AnnConfig(seed=33))
+    _, a = el.train(full_frame, seed=33)
+    _, b = el.train(full_frame, seed=33)
     assert a == b or (
         a.iterations == b.iterations
         and a.stop_reason == b.stop_reason
@@ -418,8 +418,8 @@ def test_identical_seeds_identical_traces(full_frame):
 
 
 def test_different_seeds_differ(full_frame):
-    _, a = el.train(full_frame, el.AnnConfig(seed=0))
-    _, b = el.train(full_frame, el.AnnConfig(seed=1))
+    _, a = el.train(full_frame, seed=0)
+    _, b = el.train(full_frame, seed=1)
     assert a.train_sse != b.train_sse
 
 
@@ -427,18 +427,18 @@ def test_stop_reason_is_always_known(full_frame):
     known = {STOP_MAX_ITERATIONS, STOP_GRADIENT_BELOW_MIN,
              STOP_IMPROVEMENT_BELOW_DELTA, STOP_HOLDOUT_WORSENING}
     for seed in range(6):
-        _, trace = el.train(full_frame, el.AnnConfig(seed=seed))
+        _, trace = el.train(full_frame, seed=seed)
         assert trace.stop_reason in known
 
 
 def test_patience_stop_leaves_best_behind(full_frame):
-    _, trace = el.train(full_frame, el.AnnConfig(seed=0))
+    _, trace = el.train(full_frame, seed=0)
     if trace.stop_reason == STOP_HOLDOUT_WORSENING:
         assert trace.iterations - trace.best_iteration >= HOLDOUT_PATIENCE
 
 
 def test_max_iterations_cap(full_frame):
-    _, trace = el.train(full_frame, el.AnnConfig(max_iterations=3, seed=0))
+    _, trace = el.train(full_frame, el.AnnConfig(max_iterations=3), seed=0)
     assert trace.iterations <= 3
     assert trace.stop_reason == STOP_MAX_ITERATIONS
 
@@ -458,7 +458,7 @@ def test_learns_noiseless_linear_map():
     frame = el.build_frame(
         records, el.FeatureSet(language=False, team_exp=False,
                                manager_exp=False, envergure=False))
-    model, trace = el.train(frame, el.AnnConfig(seed=3))
+    model, trace = el.train(frame, seed=3)
     assert trace.train_sse[-1] < 0.05 * trace.train_sse[0]
     predictions = el.predict_frame(model, frame)
     actual = np.array([r.effort for r in records])
@@ -467,7 +467,7 @@ def test_learns_noiseless_linear_map():
 
 
 def test_predict_single_record_matches_frame(complete_records, full_frame):
-    model, _ = el.train(full_frame, el.AnnConfig(seed=4))
+    model, _ = el.train(full_frame, seed=4)
     batch = el.predict_frame(model, full_frame)
     one = el.predict_effort_ann(model, complete_records[10])
     assert one == pytest.approx(batch[10])
@@ -481,4 +481,4 @@ def test_holdout_fraction_validated(full_frame):
 
 def test_negative_seed_rejected(full_frame):
     with pytest.raises(el.DomainError, match="^seed must be >= 0$"):
-        el.train(full_frame, el.AnnConfig(seed=-1))
+        el.train(full_frame, seed=-1)

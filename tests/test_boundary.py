@@ -145,6 +145,8 @@ def _bundled(column=None, token=None, first=None, keep=None):
          ["ablate", "--model", "regression"])
 # markdown rounding ran out of decimal digits at 1e26 and above
 @example(_bundled("Effort", "1e30", first=1), ["summarize"])
+# a tiny but positive effort is used as given: an MMRE of 7.9e275, exit 0
+@example(_bundled("Effort", "1e-300", first=1), ["metrics"])
 def test_cli_gives_a_report_or_an_error_line(data_path, data, argv):
     data_path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()

@@ -308,8 +308,14 @@ def test_negative_seed_is_data_error(capsys, argv):
     # checked before the dataset is read
     (["fit", "--seed", "-1", "--dataset", "missing.csv"],
      "seed must be >= 0"),
+    # sizes that could not be allocated are rejected before any array
+    (["fit", "--model", "ann", "--hidden", str(10 ** 16), "--max-iter", "0"],
+     "--hidden must be at most 10000"),
+    (["fit", "--hidden", str(10 ** 18)], "--hidden must be at most 10000"),
+    (["ablate", "--seeds", "10001", "--dataset", "missing.csv"],
+     "--seeds must be at most 10000"),
 ], ids=["fit-seed", "fit-hidden", "fit-max-iter", "metrics", "ablate",
-        "before-dataset"])
+        "before-dataset", "hidden-1e16", "hidden-1e18", "seeds-cap"])
 def test_model_flags_are_checked_whichever_model_runs(capsys, argv, message):
     assert _capture(capsys, argv) == (1, "", f"error: {message}\n")
 
@@ -323,6 +329,18 @@ def test_model_flags_are_checked_whichever_model_runs(capsys, argv, message):
 def test_seeds_below_one_is_data_error(capsys, argv):
     assert _capture(capsys, argv) == (
         1, "", "error: --seeds must be at least 1\n")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 82. GiB"), "Unable to allocate 82. GiB"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_error_line(capsys, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    assert _capture(capsys, ["fit", "--model", "ann"]) == (
+        1, "", f"error: {message}\n")
 
 
 def test_ablation_csv_shape(capsys):
