@@ -68,7 +68,6 @@ from .numerics import (
     t_two_sided_p,
 )
 from .regression import (
-    FeatureSet,
     ModelFrame,
     RegressionFit,
     StepwiseStep,
@@ -94,7 +93,6 @@ __all__ = [
     "DegenerateInputError",
     "DomainError",
     "EffortlabError",
-    "FeatureSet",
     "InsufficientDataError",
     "LinearSystemSolution",
     "MetricsReport",

@@ -8,7 +8,7 @@ removable attributes by how much their absence hurts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
@@ -20,7 +20,7 @@ from .ann import AnnConfig, predict_frame, train, train_seeds  # noqa: F401
 from .dataset import ProjectRecord
 from .errors import DomainError
 from .metrics import MetricsReport, evaluate
-from .regression import FeatureSet, build_frame, fit_ols
+from .regression import FULL_MODEL, build_frame, fit_ols
 
 MODEL_NAMES = ("regression", "ann")
 
@@ -28,7 +28,7 @@ MODEL_NAMES = ("regression", "ann")
 @dataclass(frozen=True, slots=True)
 class Scenario:
     name: str
-    features: FeatureSet
+    features: tuple[str, ...]
     removed: str | None
 
 
@@ -60,16 +60,14 @@ class AttributeRanking:
 
 def scenarios() -> tuple[Scenario, ...]:
     """The six scenarios, in report order."""
-    full = FeatureSet()
+    removals = (("no-env", "envergure"), ("no-language", "language"),
+                ("no-texp", "team_exp"), ("no-mexp", "manager_exp"))
     return (
-        Scenario("full", full, None),
-        Scenario("no-env", replace(full, envergure=False), "envergure"),
-        Scenario("no-language", replace(full, language=False), "language"),
-        Scenario("no-texp", replace(full, team_exp=False), "team_exp"),
-        Scenario("no-mexp", replace(full, manager_exp=False), "manager_exp"),
-        Scenario("size-only", FeatureSet(language=False, team_exp=False,
-                                         manager_exp=False, envergure=False),
-                 None),
+        Scenario("full", FULL_MODEL, None),
+        *(Scenario(name, tuple(t for t in FULL_MODEL if t != removed),
+                   removed)
+          for name, removed in removals),
+        Scenario("size-only", ("ln_size",), None),
     )
 
 
@@ -97,7 +95,8 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
     actual = list(map(attrgetter("effort"), records))
     if model == "regression":
         fit = fit_ols(frame)
-        predicted = np.exp(frame.matrix @ fit.coefficients)
+        with np.errstate(over="ignore"):  # evaluate names an infinity
+            predicted = np.exp(frame.matrix @ fit.coefficients)
         return evaluate(actual, predicted.tolist())
     reports = [evaluate(actual, predict_frame(net, frame).tolist())
                for net, _ in train_seeds(frame, ann_config, seeds)]

@@ -368,7 +368,8 @@ def predict_frame(model: AnnModel, frame: ModelFrame) -> np.ndarray:
     """Raw effort predictions for every row of a frame."""
     keep = [frame.columns.index(c) for c in model.feature_columns]
     Z = (frame.matrix[:, keep] - model.input_mean) / model.input_sd
-    return np.exp(forward(model.weights, Z, model.hidden_nodes))
+    with np.errstate(over="ignore"):  # evaluate names an infinity
+        return np.exp(forward(model.weights, Z, model.hidden_nodes))
 
 
 def predict_effort_ann(model: AnnModel, record: ProjectRecord) -> float:

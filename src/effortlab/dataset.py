@@ -44,19 +44,6 @@ _CHUNK_ROWS = 2048
 
 ADJUST_TOLERANCE = 0.02
 
-SUMMARY_ATTRIBUTES = (
-    "team_exp",
-    "manager_exp",
-    "year_end",
-    "length",
-    "effort",
-    "transactions",
-    "entities",
-    "points_non_adjust",
-    "envergure",
-    "points_adjust",
-)
-
 
 class RawRecord(NamedTuple):
     """One data row as parsed; every non-id field may be absent (None)."""
@@ -93,6 +80,11 @@ class ProjectRecord(NamedTuple):
     envergure: int
     points_adjust: float
     language: int
+
+
+# The numeric attributes that `summarize` describes, in record order.
+SUMMARY_ATTRIBUTES = tuple(name for name in ProjectRecord._fields
+                           if name not in ("project_id", "language"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -181,7 +181,7 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
 
 
-def normality_test(sample, alpha: float = 0.05) -> NormalityReport:
+def normality_test(sample) -> NormalityReport:
     """Anderson-Darling test with estimated mean and variance (case 3).
 
     The statistic uses the small-sample adjustment
@@ -192,8 +192,6 @@ def normality_test(sample, alpha: float = 0.05) -> NormalityReport:
     n = len(x)
     if n < 8:
         raise DomainError(f"need at least 8 observations, got {n}")
-    if alpha != 0.05:
-        raise DomainError("only alpha=0.05 is supported")
     mu = x.mean()
     sd = x.std(ddof=1)
     if sd == 0.0:
@@ -206,6 +204,6 @@ def normality_test(sample, alpha: float = 0.05) -> NormalityReport:
     return NormalityReport(
         statistic=float(adjusted),
         critical_value=AD_CRITICAL_95,
-        alpha=alpha,
+        alpha=0.05,
         is_normal_at_95=bool(adjusted < AD_CRITICAL_95),
     )

@@ -19,33 +19,22 @@ from .dataset import ProjectRecord
 from .errors import CollinearityError, DomainError, TransformError
 from .numerics import f_upper_tail_p, solve_least_squares, t_two_sided_p
 
-FEATURE_NAMES = ("size", "language", "team_exp", "manager_exp", "envergure")
+# Each model term and the design columns it adds, in design-matrix order.
+# A term enters or leaves the model whole: language is two dummies.
+TERMS = {
+    "ln_size": ("ln_size",),
+    "ln_transactions": ("ln_transactions",),
+    "ln_entities": ("ln_entities",),
+    "language": ("lang_1", "lang_2"),
+    "team_exp": ("team_exp",),
+    "manager_exp": ("manager_exp",),
+    "envergure": ("envergure",),
+}
+FULL_MODEL = ("ln_size", "language", "team_exp", "manager_exp", "envergure")
+_TERM_OF = {column: term for term, columns in TERMS.items()
+            for column in columns}
 
 DEFAULT_ALPHA = 0.05
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureSet:
-    """Which predictors enter the model. Size is the ln of PointsNonAdjust."""
-
-    size: bool = True
-    language: bool = True
-    team_exp: bool = True
-    manager_exp: bool = True
-    envergure: bool = True
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(n for n in FEATURE_NAMES if getattr(self, n))
-
-    @classmethod
-    def from_names(cls, names: Iterable[str]) -> "FeatureSet":
-        wanted = list(names)
-        for n in wanted:
-            if n not in FEATURE_NAMES:
-                raise DomainError(
-                    f"unknown feature {n!r}; choose from {FEATURE_NAMES}"
-                )
-        return cls(**{n: n in wanted for n in FEATURE_NAMES})
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +107,9 @@ def _encode_language(code: int) -> tuple[int, int]:
 _LN_SOURCES = {"ln_size": "points_non_adjust",
                "ln_transactions": "transactions", "ln_entities": "entities",
                "ln_effort": "effort"}
-_DUMMIES = {f"lang_{k + 1}": {code: float(_encode_language(code)[k])
-                              for code in (1, 2, 3)}
-            for k in range(2)}
+_DUMMIES = {name: {code: float(_encode_language(code)[k])
+                   for code in (1, 2, 3)}
+            for k, name in enumerate(TERMS["language"])}
 _PLAIN = ("team_exp", "manager_exp", "envergure")
 
 
@@ -181,38 +170,22 @@ def _frame_from_columns(records: Sequence[ProjectRecord],
 
 
 def build_frame(records: Sequence[ProjectRecord],
-                features: FeatureSet = FeatureSet()) -> ModelFrame:
-    """Design matrix in the fixed order intercept, ln_size, lang_1,
-    lang_2, team_exp, manager_exp, envergure, restricted to the enabled
-    features."""
-    columns: list[str] = ["intercept"]
-    if features.size:
-        columns.append("ln_size")
-    if features.language:
-        columns.extend(["lang_1", "lang_2"])
-    if features.team_exp:
-        columns.append("team_exp")
-    if features.manager_exp:
-        columns.append("manager_exp")
-    if features.envergure:
-        columns.append("envergure")
-    return _frame_from_columns(records, tuple(columns))
+                features: Iterable[str] = FULL_MODEL) -> ModelFrame:
+    """Design matrix of an intercept and the named terms' columns, laid
+    out in TERMS order whatever the order of the names."""
+    wanted = tuple(features)
+    for name in wanted:
+        if name not in TERMS:
+            raise DomainError(f"unknown term {name!r}; choose from "
+                              f"{tuple(TERMS)}")
+    return _frame_from_columns(records, ("intercept",) + tuple(
+        column for term, columns in TERMS.items() if term in wanted
+        for column in columns))
 
 
 def build_candidate_frame(records: Sequence[ProjectRecord]) -> ModelFrame:
-    """Frame holding every stepwise candidate: three size measures, the
-    language pair and the three ordinal attributes."""
-    return _frame_from_columns(records, (
-        "intercept",
-        "ln_size",
-        "ln_transactions",
-        "ln_entities",
-        "lang_1",
-        "lang_2",
-        "team_exp",
-        "manager_exp",
-        "envergure",
-    ))
+    """Frame holding every stepwise candidate term."""
+    return build_frame(records, TERMS)
 
 
 def _subset(frame: ModelFrame, keep: Sequence[int]) -> ModelFrame:
@@ -281,6 +254,10 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
         f_p = float("nan")
 
     resid = y - frame.matrix @ sol.coefficients
+    with np.errstate(over="ignore"):
+        smearing = float(np.mean(np.exp(resid)))
+    if not math.isfinite(smearing):
+        raise DomainError("smearing factor overflows the float range")
     return RegressionFit(
         columns=frame.columns,
         coefficients=sol.coefficients,
@@ -295,26 +272,18 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
         vif=vif(frame, sol.unscaled_covariance),
         n=n,
         df_residual=df_resid,
-        smearing_factor=float(np.mean(np.exp(resid))),
+        smearing_factor=smearing,
     )
 
 
 def _terms_of(frame: ModelFrame) -> list[tuple[str, tuple[int, ...]]]:
-    """Group design columns into selectable terms; the language dummies
-    move together as one term."""
-    terms: list[tuple[str, tuple[int, ...]]] = []
-    lang: list[int] = []
+    """Group design columns into selectable terms, ordered by their first
+    column; a column outside TERMS is a term of its own."""
+    terms: dict[str, list[int]] = {}
     for j, name in enumerate(frame.columns):
-        if name == "intercept":
-            continue
-        if name in ("lang_1", "lang_2"):
-            lang.append(j)
-        else:
-            terms.append((name, (j,)))
-    if lang:
-        terms.append(("language", tuple(lang)))
-    terms.sort(key=lambda t: t[1][0])
-    return terms
+        if name != "intercept":
+            terms.setdefault(_TERM_OF.get(name, name), []).append(j)
+    return [(term, tuple(columns)) for term, columns in terms.items()]
 
 
 def _partial_f_p(frame: ModelFrame, base: list[int], extra: Sequence[int],

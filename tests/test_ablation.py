@@ -17,12 +17,20 @@ def test_scenario_order_and_removals():
     assert scens[3].removed == "team_exp"
     assert scens[4].removed == "manager_exp"
     assert scens[5].removed is None
-    assert scens[5].features.labels() == ("size",)
+    assert scens[5].features == ("ln_size",)
 
 
 def test_every_scenario_keeps_size():
     for scen in el.scenarios():
-        assert scen.features.size
+        assert "ln_size" in scen.features
+
+
+def test_scenario_features_are_the_full_model_less_the_removed_term():
+    full = el.regression.FULL_MODEL
+    *removals, size_only = el.scenarios()
+    for scen in removals:
+        assert scen.features == tuple(t for t in full if t != scen.removed)
+    assert size_only.features == ("ln_size",)
 
 
 def test_regression_cells_match_single_runs(complete_records):

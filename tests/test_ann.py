@@ -275,8 +275,7 @@ def test_training_bitwise_matches_reference_loop(full_frame,
     # hidden sizes of 8 and more catch an output layer applied to the
     # stacked training and holdout rows in one product; each seed must
     # match both trained alone and trained in one batch of ten
-    size_only = el.build_frame(complete_records, el.FeatureSet(
-        language=False, team_exp=False, manager_exp=False, envergure=False))
+    size_only = el.build_frame(complete_records, ["ln_size"])
     for frame in (full_frame, size_only):
         for hidden in (None, 1, 8, 12, 30):
             for fraction in (0.2, 0.35):
@@ -325,8 +324,7 @@ def test_batch_keeps_initial_weights_that_stay_best():
             effort=float(np.exp(rng.normal())), transactions=100,
             entities=100, points_non_adjust=size, envergure=20,
             points_adjust=size * 0.85, language=1))
-    frame = el.build_frame(records, el.FeatureSet(
-        language=False, team_exp=False, manager_exp=False, envergure=False))
+    frame = el.build_frame(records, ["ln_size"])
     batch = list(ann.train_seeds(frame, el.AnnConfig(), range(10)))
     assert any(trace.best_iteration == 0 and trace.iterations > 0
                for _, trace in batch)
@@ -455,9 +453,7 @@ def test_learns_noiseless_linear_map():
             effort=effort, transactions=100, entities=100,
             points_non_adjust=size, envergure=20,
             points_adjust=size * 0.85, language=1))
-    frame = el.build_frame(
-        records, el.FeatureSet(language=False, team_exp=False,
-                               manager_exp=False, envergure=False))
+    frame = el.build_frame(records, ["ln_size"])
     model, trace = el.train(frame, seed=3)
     assert trace.train_sse[-1] < 0.05 * trace.train_sse[0]
     predictions = el.predict_frame(model, frame)

@@ -3,6 +3,7 @@ EffortlabError with exit code 1, never in another exception."""
 
 import contextlib
 import io
+import statistics
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,27 @@ def _bundled(column=None, token=None, first=None, keep=None):
     return ("\n".join([lines[0], *rows]) + "\n").encode()
 
 
+def _efforts(token_of):
+    """The bundled file with each row's Effort set to `token_of(i, size)`,
+    for the row's index and its PointsNonAdjust."""
+    lines = Path(el.bundled_dataset_path()).read_text().splitlines()
+    effort, size = COLUMNS.index("Effort"), COLUMNS.index("PointsNonAdjust")
+    rows = [row.split(",") for row in lines[1:]]
+    for i, cells in enumerate(rows):
+        cells[effort] = token_of(i, float(cells[size]))
+    return "\n".join([lines[0], *map(",".join, rows)]).encode() + b"\n"
+
+
+_MEDIAN_SIZE = statistics.median(
+    float(line.split(",")[COLUMNS.index("PointsNonAdjust")]) for line in
+    Path(el.bundled_dataset_path()).read_text().splitlines()[1:])
+# a smearing factor of inf, once written to JSON as null with exit 0
+_HUGE_RESIDUAL = _efforts(lambda i, size: "1e308" if i == 0 else "1e-300")
+# fitted efforts beyond the float range
+_HUGE_FIT = _efforts(lambda i, size: "1e308" if size > _MEDIAN_SIZE
+                     else "1e250")
+
+
 @settings(max_examples=150, deadline=None)
 @given(dataset_bytes(), cli_argv())
 # an int beyond the float range once reached float() in frames and summaries
@@ -147,6 +169,12 @@ def _bundled(column=None, token=None, first=None, keep=None):
 @example(_bundled("Effort", "1e30", first=1), ["summarize"])
 # a tiny but positive effort is used as given: an MMRE of 7.9e275, exit 0
 @example(_bundled("Effort", "1e-300", first=1), ["metrics"])
+# exp overflowed with a numpy warning on stderr
+@example(_HUGE_RESIDUAL, ["fit", "--format", "json"])
+@example(_HUGE_RESIDUAL, ["metrics"])
+@example(_HUGE_FIT, ["metrics"])
+@example(_HUGE_FIT, ["ablate", "--model", "regression"])
+@example(_HUGE_FIT, ["metrics", "--model", "ann"])
 def test_cli_gives_a_report_or_an_error_line(data_path, data, argv):
     data_path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
@@ -216,3 +244,16 @@ def test_error_class_exits_one_with_one_error_line(error_class, tmp_path,
     out, err = capsys.readouterr()
     assert [type(exc) for exc in raised] == [error_class]
     assert (code, out, err) == (1, "", f"error: {raised[0]}\n")
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("fit", _HUGE_RESIDUAL, "smearing factor overflows the float range"),
+    ("metrics", _HUGE_FIT, "actual and predicted must be finite"),
+], ids=["smearing", "fitted"])
+def test_effort_overflow_is_one_named_error(command, data, message,
+                                            tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("EFFORTLAB_DATASET", raising=False)
+    (tmp_path / "data.csv").write_bytes(data)
+    code = cli.run([command, "--format", "json",
+                    "--dataset", str(tmp_path / "data.csv")])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))

@@ -211,8 +211,3 @@ class TestNormality:
     def test_small_sample_rejected(self):
         with pytest.raises(el.DomainError):
             el.normality_test([1.0, 2.0, 3.0])
-
-    def test_unsupported_alpha_rejected(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(el.DomainError):
-            el.normality_test(rng.normal(size=20), alpha=0.01)

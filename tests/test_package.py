@@ -1,6 +1,11 @@
-"""The package's public names: exactly what `__all__` lists."""
+"""The package's public names: exactly what `__all__` lists; and no
+module imports a name it never uses."""
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import effortlab as el
 
@@ -13,3 +18,39 @@ def test_all_lists_exactly_the_public_names():
     public = {name for name in dir(el) if not name.startswith("_")
               and not isinstance(getattr(el, name), types.ModuleType)}
     assert public - set(el.__all__) == set()
+
+
+def _unused_imports(source: str) -> set[str]:
+    """Names a module imports and never reads; `__all__` counts as a read,
+    and an import whose lines carry `# noqa: F401` is exempt."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets)):
+            used.update(ast.literal_eval(node.value))
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              and not any("# noqa: F401" in line for line
+                          in lines[node.lineno - 1:node.end_lineno])):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+    return imported - used
+
+
+@pytest.mark.parametrize("path", sorted(Path(el.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == set()
+
+
+def test_unused_import_check_sees_dead_and_exempt_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from .a import b, c  # noqa: F401\nfrom .d import e, f\n"
+              "__all__ = ['e']\nnp.zeros(1)\n")
+    assert _unused_imports(source) == {"os", "f"}

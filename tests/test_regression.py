@@ -49,7 +49,7 @@ def test_frame_content(complete_records, full_frame):
 
 def test_feature_subset_drops_columns(complete_records):
     frame = el.build_frame(
-        complete_records, el.FeatureSet(language=False, envergure=False))
+        complete_records, ["ln_size", "team_exp", "manager_exp"])
     assert frame.columns == ("intercept", "ln_size", "team_exp",
                              "manager_exp")
 
@@ -139,11 +139,13 @@ def test_nonpositive_effort_is_transform_error():
     assert info.value.project_id == 2
 
 
-def test_feature_set_from_names():
-    features = el.FeatureSet.from_names(["size", "envergure"])
-    assert features.labels() == ("size", "envergure")
-    with pytest.raises(el.DomainError):
-        el.FeatureSet.from_names(["sizes"])
+def test_build_frame_takes_terms_in_any_order(complete_records):
+    frame = el.build_frame(complete_records,
+                           ["envergure", "language", "ln_size"])
+    assert frame.columns == ("intercept", "ln_size", "lang_1", "lang_2",
+                             "envergure")
+    with pytest.raises(el.DomainError, match="unknown term 'size'"):
+        el.build_frame(complete_records, ["ln_size", "size"])
 
 
 def test_fit_matches_numpy_reference(complete_records, full_frame):
@@ -236,10 +238,7 @@ def test_fit_makes_one_least_squares_solve(full_frame, monkeypatch):
 
 
 def test_single_predictor_vif_is_one(complete_records):
-    frame = el.build_frame(
-        complete_records,
-        el.FeatureSet(language=False, team_exp=False, manager_exp=False,
-                      envergure=False))
+    frame = el.build_frame(complete_records, ["ln_size"])
     fit = el.fit_ols(frame)
     assert fit.vif == {"ln_size": pytest.approx(1.0)}
 
@@ -314,6 +313,22 @@ def test_stepwise_selects_expected_terms(complete_records):
     trace = el.stepwise_select(el.build_candidate_frame(complete_records))
     assert set(trace.selected) == {"ln_size", "language", "envergure"}
     assert trace.alpha == 0.05
+
+
+def test_stepwise_groups_language_dummies_wherever_they_stand(
+        complete_records):
+    frame = el.build_candidate_frame(complete_records)
+    order = ("intercept", "lang_2", "team_exp", "ln_entities", "ln_size",
+             "lang_1", "envergure", "ln_transactions", "manager_exp")
+    keep = [frame.columns.index(name) for name in order]
+    permuted = el.ModelFrame(columns=order, matrix=frame.matrix[:, keep],
+                             response=frame.response,
+                             project_ids=frame.project_ids)
+    trace = el.stepwise_select(permuted)
+    assert set(trace.selected) == {"ln_size", "language", "envergure"}
+    assert [s.predictor for s in trace.steps] == [
+        "ln_size", "language", "envergure"]
+    assert {"lang_1", "lang_2"} <= set(trace.fit.columns)
 
 
 def test_stepwise_trace_is_pinned(complete_records):
