@@ -48,7 +48,12 @@ STOP_GRADIENT_BELOW_MIN = "gradient_below_min"
 STOP_IMPROVEMENT_BELOW_DELTA = "improvement_below_delta"
 STOP_HOLDOUT_WORSENING = "holdout_worsening"
 
+# The paper's holdout share and stopping thresholds.
+HOLDOUT_FRACTION = 0.20
 HOLDOUT_PATIENCE = 50
+MIN_GRADIENT = 1e-6
+MIN_IMPROVEMENT_DELTA = 1e-6
+CONVERGENCE_TOLERANCE = 1e-5
 
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
@@ -64,10 +69,6 @@ class AnnConfig:
 
     hidden_nodes: int | None = None
     max_iterations: int = 10000
-    convergence_tolerance: float = 1e-5
-    min_improvement_delta: float = 1e-6
-    min_gradient: float = 1e-6
-    holdout_fraction: float = 0.20
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +204,6 @@ def check_config(config: AnnConfig, seeds: Sequence[int]) -> None:
         raise DomainError("need at least one seed")
     if any(seed < 0 for seed in seeds):
         raise DomainError("seed must be >= 0")
-    if not 0.0 < config.holdout_fraction < 0.5:
-        raise DomainError("holdout_fraction must be in (0, 0.5)")
     if config.hidden_nodes is not None and config.hidden_nodes < 1:
         raise DomainError("hidden_nodes must be >= 1")
 
@@ -214,9 +213,9 @@ def train(frame: ModelFrame, config: AnnConfig = AnnConfig(),
     """Train on a frame's non-intercept columns against ln(effort).
 
     The seed draws the initial weights and the holdout rows, a random
-    fifth of the data by default; input standardization uses training
-    rows only. Returns the weights with the best holdout error seen, not
-    the last iterate.
+    fifth of the data; input standardization uses training rows only.
+    Returns the weights with the best holdout error seen, not the last
+    iterate.
     """
     return train_seeds(frame, config, [seed])[0]
 
@@ -264,7 +263,7 @@ def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
     X_all, y_all = frame.matrix[:, keep], frame.response
     (n, d), S = X_all.shape, len(seeds)
     h = config.hidden_nodes if config.hidden_nodes is not None else d
-    k = max(1, round(config.holdout_fraction * n))
+    k = max(1, round(HOLDOUT_FRACTION * n))
     n_train = n - k
     n_params = parameter_count(d, h)
     Z, Y, W = np.empty((S, n, d)), np.empty((S, n)), np.empty((S, n_params))
@@ -298,7 +297,7 @@ def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
                     continue
                 if run.iterations >= config.max_iterations:
                     run.stop = STOP_MAX_ITERATIONS
-                elif math.sqrt(g_sq) < config.min_gradient:
+                elif math.sqrt(g_sq) < MIN_GRADIENT:
                     run.stop = STOP_GRADIENT_BELOW_MIN
                 else:
                     if slope >= 0.0:
@@ -348,8 +347,8 @@ def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
                 run.patience += 1
                 if run.patience >= HOLDOUT_PATIENCE:
                     run.stop = STOP_HOLDOUT_WORSENING
-            if not run.stop and (improvement < config.min_improvement_delta
-                                 or relative < config.convergence_tolerance):
+            if not run.stop and (improvement < MIN_IMPROVEMENT_DELTA
+                                 or relative < CONVERGENCE_TOLERANCE):
                 run.stop = STOP_IMPROVEMENT_BELOW_DELTA
         D_go = -G_go + np.array(betas)[:, None] * D[rows]
         W[rows], D[rows], G[rows] = T_go, D_go, G_go

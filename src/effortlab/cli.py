@@ -20,7 +20,8 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import NamedTuple, Sequence
 
 from .ablation import (AblationTable, run_ablation, run_scenario, scenarios)
-from .ann import AnnConfig, check_config
+from .ann import (CONVERGENCE_TOLERANCE, HOLDOUT_FRACTION, MIN_GRADIENT,
+                  MIN_IMPROVEMENT_DELTA, AnnConfig, check_config)
 from .dataset import (DatasetSummary, Violation, bundled_dataset_path,
                       filter_complete, load_dataset, summarize,
                       validate_derived)
@@ -36,6 +37,12 @@ FORMATS = ("markdown", "csv", "json")
 _FMT_CONTEXT = Context(prec=400)
 
 _MODEL_TITLES = {"regression": "Regression model", "ann": "ANN model"}
+
+# The network's fixed settings, which a report states beside its config.
+_ANN_SETTINGS = {"holdout_fraction": HOLDOUT_FRACTION,
+                 "min_gradient": MIN_GRADIENT,
+                 "min_improvement_delta": MIN_IMPROVEMENT_DELTA,
+                 "convergence_tolerance": CONVERGENCE_TOLERANCE}
 
 
 def _fmt(value: float, places: int) -> str:
@@ -177,7 +184,8 @@ def _ablation_report(table: AblationTable) -> _Report:
         "n": table.n,
         "models": list(table.models),
         "seeds": list(table.seeds),
-        "ann_config": None if config is None else asdict(config),
+        "ann_config": (None if config is None
+                       else {**asdict(config), **_ANN_SETTINGS}),
         "cells": [{"scenario": scenario, "model": model,
                    "metrics": _metrics_body(values)}
                   for scenario, model, *values in rows],

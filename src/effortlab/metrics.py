@@ -46,9 +46,8 @@ def _checked(actual: Iterable[float],
 
 
 def _scores(actual: Iterable[float], predicted: Iterable[float],
-            level: float = PRED_LEVEL,
             need_r_squared: bool = True) -> MetricsReport:
-    """The five criteria in one pass, with PRED at `level`.
+    """The five criteria in one pass.
 
     Actuals without variation leave R-squared undefined: that raises
     when `need_r_squared` is set, and is NaN otherwise. Any other
@@ -74,7 +73,7 @@ def _scores(actual: Iterable[float], predicted: Iterable[float],
         raise DegenerateInputError(f"actuals {why}; r_squared is undefined")
     report = MetricsReport(
         mmre=sum(mres) / n,
-        pred_25=sum(1 for m in mres if m <= level) / n,
+        pred_25=sum(1 for m in mres if m <= PRED_LEVEL) / n,
         rmse=math.sqrt(sse / n),
         mean_error=sum(errors) / n,
         r_squared=1.0 - sse / sst if defined else math.nan,
@@ -92,12 +91,9 @@ def mmre(actual: Iterable[float], predicted: Iterable[float]) -> float:
     return _scores(actual, predicted, need_r_squared=False).mmre
 
 
-def pred(actual: Iterable[float], predicted: Iterable[float],
-         level: float = PRED_LEVEL) -> float:
-    """Fraction of pairs whose MRE is at most `level`."""
-    if level <= 0:
-        raise DomainError(f"level must be positive, got {level}")
-    return _scores(actual, predicted, level, need_r_squared=False).pred_25
+def pred(actual: Iterable[float], predicted: Iterable[float]) -> float:
+    """Fraction of pairs whose MRE is at most PRED_LEVEL, 0.25."""
+    return _scores(actual, predicted, need_r_squared=False).pred_25
 
 
 def rmse(actual: Iterable[float], predicted: Iterable[float]) -> float:

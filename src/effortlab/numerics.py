@@ -29,7 +29,6 @@ class LinearSystemSolution:
     coefficients: np.ndarray
     residual_sum_of_squares: float
     unscaled_covariance: np.ndarray
-    rank: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +76,6 @@ def solve_least_squares(design: np.ndarray,
         coefficients=beta,
         residual_sum_of_squares=rss,
         unscaled_covariance=unscaled,
-        rank=p,
     )
 
 

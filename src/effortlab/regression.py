@@ -34,7 +34,7 @@ FULL_MODEL = ("ln_size", "language", "team_exp", "manager_exp", "envergure")
 _TERM_OF = {column: term for term, columns in TERMS.items()
             for column in columns}
 
-DEFAULT_ALPHA = 0.05
+ALPHA = 0.05  # the stepwise entry and removal level
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +90,6 @@ class StepwiseTrace:
     steps: tuple[StepwiseStep, ...]
     selected: tuple[str, ...]
     fit: RegressionFit
-    alpha: float = DEFAULT_ALPHA
 
 
 def _encode_language(code: int) -> tuple[int, int]:
@@ -303,18 +302,15 @@ def _partial_f_p(frame: ModelFrame, base: list[int], extra: Sequence[int],
     return f_upper_tail_p(max(f_stat, 0.0), df_extra, df_f)
 
 
-def stepwise_select(frame: ModelFrame,
-                    alpha: float = DEFAULT_ALPHA) -> StepwiseTrace:
+def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
     """Bidirectional stepwise selection over the frame's terms.
 
     Starts from the intercept-only model. Each round first tries the
-    best entry (smallest partial-F p value below alpha, ties broken by
+    best entry (smallest partial-F p value below ALPHA, ties broken by
     column order), then retests everything already in the model and
-    removes the worst term whose p value rose above alpha. Stops when a
+    removes the worst term whose p value rose above ALPHA. Stops when a
     full round changes nothing.
     """
-    if not 0 < alpha < 1:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     intercept = frame.columns.index("intercept")
     terms = _terms_of(frame)
     if not terms:
@@ -348,7 +344,7 @@ def stepwise_select(frame: ModelFrame,
             if name in included:
                 continue
             p = _partial_f_p(frame, base, cols, rss)
-            if p < alpha and (best is None or (p, order) < best[:2]):
+            if p < ALPHA and (best is None or (p, order) < best[:2]):
                 best = (p, order, name)
         if best is not None:
             included.append(best[2])
@@ -360,7 +356,7 @@ def stepwise_select(frame: ModelFrame,
         for name in included:
             rest = [c for c in base if c not in by_name[name]]
             p = _partial_f_p(frame, rest, by_name[name], rss)
-            if p > alpha and (worst is None or p > worst[0]):
+            if p > ALPHA and (worst is None or p > worst[0]):
                 worst = (p, name)
         if worst is not None:
             included.remove(worst[1])
@@ -376,7 +372,6 @@ def stepwise_select(frame: ModelFrame,
         steps=tuple(steps),
         selected=ordered,
         fit=fit_ols(final),
-        alpha=alpha,
     )
 
 
@@ -387,16 +382,15 @@ def feature_row(columns: Sequence[str],
                     dtype=float)
 
 
-def predict_effort(fit: RegressionFit, record: ProjectRecord,
-                   smearing: bool = False) -> float:
+def predict_effort(fit: RegressionFit, record: ProjectRecord) -> float:
     """Raw effort prediction: exp of the linear predictor.
 
-    Back-transforming the log-scale mean is biased low; pass
-    smearing=True to multiply by the smearing factor estimated at fit
-    time. The default applies no correction.
+    Back-transforming the log-scale mean is biased low; multiply by
+    `fit.smearing_factor` for the corrected value.
     """
-    value = math.exp(float(feature_row(fit.columns, record)
-                           @ fit.coefficients))
-    if smearing:
-        value *= fit.smearing_factor
-    return value
+    try:
+        return math.exp(float(feature_row(fit.columns, record)
+                              @ fit.coefficients))
+    except OverflowError:
+        raise DomainError(f"project {record.project_id}: predicted effort "
+                          "overflows the float range") from None

@@ -1,3 +1,6 @@
+import importlib.resources
+import json
+
 import pytest
 
 import effortlab as el
@@ -16,3 +19,10 @@ def complete_records(raw_records):
 @pytest.fixture(scope="session")
 def full_frame(complete_records):
     return el.build_frame(complete_records)
+
+
+@pytest.fixture(scope="session")
+def schema():
+    text = importlib.resources.files("effortlab").joinpath(
+        "schemas/report-v1.json").read_text()
+    return json.loads(text)

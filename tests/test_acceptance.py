@@ -120,8 +120,8 @@ def test_criterion_4_regression_ablation_rows(complete_records):
 
 def test_criterion_5_stepwise_selection(complete_records):
     t0 = time.monotonic()
-    trace = el.stepwise_select(
-        el.build_candidate_frame(complete_records), alpha=0.05)
+    assert el.regression.ALPHA == 0.05
+    trace = el.stepwise_select(el.build_candidate_frame(complete_records))
     assert set(trace.selected) == {"ln_size", "language", "envergure"}
     took = _elapsed(t0)
     assert took < 1.0

@@ -1,5 +1,7 @@
 """Network mechanics: initialization, gradients, training behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,12 +58,13 @@ def _sse(params, X, y, h):
 
 def _reference_train(frame, config, seed):
     # the training loop as it was before trials shared one hidden pass:
-    # separate loss, gradient and holdout passes; must match bit for bit
+    # separate loss, gradient and holdout passes; must match bit for bit.
+    # The fixed settings are read when called, so a patched one applies.
     keep = [frame.columns.index(c) for c in frame.predictor_columns()]
     X_all, y_all = frame.matrix[:, keep], frame.response
     n = len(y_all)
     rng = np.random.default_rng(seed)
-    k = max(1, round(config.holdout_fraction * n))
+    k = max(1, round(ann.HOLDOUT_FRACTION * n))
     order = rng.permutation(n)
     holdout_idx, train_idx = np.sort(order[:k]), np.sort(order[k:])
     mean = X_all[train_idx].mean(axis=0)
@@ -87,7 +90,7 @@ def _reference_train(frame, config, seed):
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         g_sq = float(g @ g)
-        if np.sqrt(g_sq) < config.min_gradient:
+        if np.sqrt(g_sq) < ann.MIN_GRADIENT:
             stop = STOP_GRADIENT_BELOW_MIN
             break
         slope = float(g @ direction)
@@ -127,8 +130,8 @@ def _reference_train(frame, config, seed):
             if patience >= HOLDOUT_PATIENCE:
                 stop = STOP_HOLDOUT_WORSENING
                 break
-        if (improvement < config.min_improvement_delta
-                or relative < config.convergence_tolerance):
+        if (improvement < ann.MIN_IMPROVEMENT_DELTA
+                or relative < ann.CONVERGENCE_TOLERANCE):
             stop = STOP_IMPROVEMENT_BELOW_DELTA
             break
     return best_w, (iterations, stop, tuple(train_hist), tuple(hold_hist),
@@ -270,17 +273,16 @@ def _assert_matches(trained, expected):
     _assert_bitwise(trace.holdout_sse, summary[3])
 
 
-def test_training_bitwise_matches_reference_loop(full_frame,
-                                                 complete_records):
+def test_training_bitwise_matches_reference_loop(complete_records):
     # hidden sizes of 8 and more catch an output layer applied to the
     # stacked training and holdout rows in one product; each seed must
-    # match both trained alone and trained in one batch of ten
-    size_only = el.build_frame(complete_records, ["ln_size"])
-    for frame in (full_frame, size_only):
-        for hidden in (None, 1, 8, 12, 30):
-            for fraction in (0.2, 0.35):
-                base = el.AnnConfig(hidden_nodes=hidden,
-                                    holdout_fraction=fraction)
+    # match both trained alone and trained in one batch of ten. All 77
+    # rows split 62/15 into training and holdout rows, the first 50 40/10.
+    for records in (complete_records, complete_records[:50]):
+        for frame in (el.build_frame(records),
+                      el.build_frame(records, ["ln_size"])):
+            for hidden in (None, 1, 8, 12, 30):
+                base = el.AnnConfig(hidden_nodes=hidden)
                 batch = list(ann.train_seeds(frame, base, range(10)))
                 for seed, trained in enumerate(batch):
                     expected = _reference_train(frame, base, seed)
@@ -288,20 +290,23 @@ def test_training_bitwise_matches_reference_loop(full_frame,
                     _assert_matches(trained, expected)
 
 
-@pytest.mark.parametrize("overrides, reasons", [
-    ({"max_iterations": 0}, {STOP_MAX_ITERATIONS}),
-    ({"max_iterations": 3}, {STOP_MAX_ITERATIONS}),
+@pytest.mark.parametrize("overrides, constants, reasons", [
+    ({"max_iterations": 0}, {}, {STOP_MAX_ITERATIONS}),
+    ({"max_iterations": 3}, {}, {STOP_MAX_ITERATIONS}),
     # seed 8 stops on a small improvement at the cap, iteration 57
-    ({"max_iterations": 57},
+    ({"max_iterations": 57}, {},
      {STOP_MAX_ITERATIONS, STOP_IMPROVEMENT_BELOW_DELTA}),
-    ({"min_gradient": 0.5}, {STOP_GRADIENT_BELOW_MIN, STOP_HOLDOUT_WORSENING,
-                             STOP_IMPROVEMENT_BELOW_DELTA}),
-    ({}, {STOP_HOLDOUT_WORSENING, STOP_IMPROVEMENT_BELOW_DELTA}),
+    ({}, {"MIN_GRADIENT": 0.5}, {STOP_GRADIENT_BELOW_MIN,
+                                 STOP_HOLDOUT_WORSENING,
+                                 STOP_IMPROVEMENT_BELOW_DELTA}),
+    ({}, {}, {STOP_HOLDOUT_WORSENING, STOP_IMPROVEMENT_BELOW_DELTA}),
 ], ids=["max-iter-0", "max-iter-3", "max-iter-57", "min-gradient", "default"])
-def test_batch_with_mixed_stops_matches_reference_loop(full_frame, overrides,
-                                                       reasons):
+def test_batch_with_mixed_stops_matches_reference_loop(
+        full_frame, monkeypatch, overrides, constants, reasons):
     # seeds that stop in different rounds and for different reasons
     # leave the batch without disturbing the others
+    for name, value in constants.items():
+        monkeypatch.setattr(ann, name, value)
     base = el.AnnConfig(**overrides)
     batch = list(ann.train_seeds(full_frame, base, range(10)))
     assert {trace.stop_reason for _, trace in batch} == reasons
@@ -470,9 +475,17 @@ def test_predict_single_record_matches_frame(complete_records, full_frame):
     assert np.all(batch > 0)
 
 
-def test_holdout_fraction_validated(full_frame):
-    with pytest.raises(el.DomainError):
-        el.train(full_frame, el.AnnConfig(holdout_fraction=0.9))
+def test_config_holds_only_the_flag_settings():
+    # --hidden and --max-iter; every other setting is a fixed constant
+    assert tuple(f.name for f in dataclasses.fields(el.AnnConfig)) == (
+        "hidden_nodes", "max_iterations")
+    for name in ("holdout_fraction", "min_gradient", "min_improvement_delta",
+                 "convergence_tolerance", "seed"):
+        with pytest.raises(TypeError):
+            el.AnnConfig(**{name: 0.1})
+    assert (ann.HOLDOUT_FRACTION, ann.HOLDOUT_PATIENCE, ann.MIN_GRADIENT,
+            ann.MIN_IMPROVEMENT_DELTA, ann.CONVERGENCE_TOLERANCE) == (
+        0.20, 50, 1e-6, 1e-6, 1e-5)
 
 
 def test_negative_seed_rejected(full_frame):

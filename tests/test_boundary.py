@@ -3,9 +3,12 @@ EffortlabError with exit code 1, never in another exception."""
 
 import contextlib
 import io
+import json
+import math
 import statistics
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -175,18 +178,34 @@ _HUGE_FIT = _efforts(lambda i, size: "1e308" if size > _MEDIAN_SIZE
 @example(_HUGE_FIT, ["metrics"])
 @example(_HUGE_FIT, ["ablate", "--model", "regression"])
 @example(_HUGE_FIT, ["metrics", "--model", "ann"])
-def test_cli_gives_a_report_or_an_error_line(data_path, data, argv):
+# a JSON ablation states every network setting, the fixed ones included
+@example(_bundled(), ["ablate", "--format", "json", "--max-iter", "2"])
+def test_cli_gives_a_report_or_an_error_line(data_path, schema, data, argv):
     data_path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run([*argv, "--dataset", str(data_path)])
     if code == 0 or (code == 1 and argv[0] == "validate" and out.getvalue()):
         assert out.getvalue()  # a report (validate exits 1 on violations)
+        if "json" in argv:
+            jsonschema.validate(json.loads(out.getvalue()), schema)
     else:
         assert code == 1
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+
+
+def test_predict_effort_beyond_the_float_range_names_the_project(data_path):
+    # exp of the linear predictor once raised a bare OverflowError
+    data_path.write_bytes(_HUGE_FIT)
+    records = el.filter_complete(el.load_dataset(str(data_path)))
+    fit = el.fit_ols(el.build_frame(records))
+    by_id = {record.project_id: record for record in records}
+    assert math.isfinite(el.predict_effort(fit, by_id[1]))
+    with pytest.raises(el.DomainError, match="^project 37: predicted effort "
+                       "overflows the float range$"):
+        el.predict_effort(fit, by_id[37])
 
 
 def _unchecked_filter(records):

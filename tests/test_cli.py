@@ -29,14 +29,6 @@ def _capture(capsys, argv):
     return code, out.out, out.err
 
 
-@pytest.fixture(scope="module")
-def schema():
-    import importlib.resources as resources
-    text = resources.files("effortlab").joinpath(
-        "schemas/report-v1.json").read_text()
-    return json.loads(text)
-
-
 def test_validate_reports_counts(capsys):
     code, out, err = _capture(capsys, ["validate"])
     assert code == 0

@@ -32,10 +32,12 @@ def test_mmre():
 
 def test_pred_counts_hits_at_threshold():
     assert el.pred(ACTUAL, PREDICTED) == 1.0
-    # the level bound is inclusive: mre of exactly 0.2 still counts
-    assert el.pred(ACTUAL, PREDICTED, level=0.2) == pytest.approx(2 / 3)
-    assert el.pred(ACTUAL, PREDICTED, level=0.1) == pytest.approx(1 / 3)
-    assert el.pred(ACTUAL, PREDICTED, level=0.01) == 0.0
+    # the 0.25 bound is inclusive: an mre of exactly 0.25 still counts
+    assert el.pred([100.0], [75.0]) == 1.0
+    assert el.pred([100.0, 100.0, 100.0],
+                   [75.0, 74.0, 126.0]) == pytest.approx(1 / 3)
+    with pytest.raises(TypeError):
+        el.pred(ACTUAL, PREDICTED, level=0.2)
 
 
 def test_rmse():

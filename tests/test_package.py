@@ -1,5 +1,5 @@
 """The package's public names: exactly what `__all__` lists; and no
-module imports a name it never uses."""
+module of the package or of its tests imports a name it never uses."""
 
 import ast
 import types
@@ -42,8 +42,14 @@ def _unused_imports(source: str) -> set[str]:
     return imported - used
 
 
-@pytest.mark.parametrize("path", sorted(Path(el.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+_TESTS = Path(__file__).resolve().parent
+
+
+@pytest.mark.parametrize(
+    "path", [*sorted(Path(el.__file__).parent.glob("*.py")),
+             *sorted(_TESTS.glob("*.py"))],
+    ids=lambda path: (f"tests/{path.name}" if path.parent == _TESTS
+                      else path.name))
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == set()
 

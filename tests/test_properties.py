@@ -1,7 +1,6 @@
 """Property-based checks over the library's stated invariants."""
 
 import io
-import math
 
 import numpy as np
 import pytest

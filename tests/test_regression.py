@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import effortlab as el
-from effortlab.regression import _encode_language
+from effortlab.regression import ALPHA, _encode_language
 
 
 def _record(**overrides):
@@ -312,7 +312,6 @@ def test_r_squared_invariant_under_predictor_rescaling(full_frame):
 def test_stepwise_selects_expected_terms(complete_records):
     trace = el.stepwise_select(el.build_candidate_frame(complete_records))
     assert set(trace.selected) == {"ln_size", "language", "envergure"}
-    assert trace.alpha == 0.05
 
 
 def test_stepwise_groups_language_dummies_wherever_they_stand(
@@ -356,9 +355,9 @@ def test_stepwise_trace_records_decisions(complete_records):
         assert added.count(name) == removed.count(name) + 1
     for step in trace.steps:
         if step.action == "add":
-            assert step.p_value < trace.alpha
+            assert step.p_value < ALPHA
         else:
-            assert step.p_value > trace.alpha
+            assert step.p_value > ALPHA
 
 
 def test_stepwise_step_count_bounded(complete_records):
@@ -375,19 +374,6 @@ def test_stepwise_final_fit_uses_selected_terms(complete_records):
         expected.update(("lang_1", "lang_2") if term == "language"
                         else (term,))
     assert set(trace.fit.columns) == expected
-
-
-def test_stepwise_alpha_validation(complete_records):
-    frame = el.build_candidate_frame(complete_records)
-    with pytest.raises(el.DomainError):
-        el.stepwise_select(frame, alpha=0.0)
-
-
-def test_stepwise_strict_alpha_selects_nothing_or_less(complete_records):
-    frame = el.build_candidate_frame(complete_records)
-    loose = el.stepwise_select(frame, alpha=0.05)
-    strict = el.stepwise_select(frame, alpha=1e-12)
-    assert set(strict.selected) <= set(loose.selected)
 
 
 def test_predict_effort_known_coefficients():
@@ -408,12 +394,14 @@ def test_predict_effort_known_coefficients():
 
 
 def test_predict_effort_smearing_toggle(complete_records, full_frame):
+    # the prediction is uncorrected; the caller multiplies by the factor
     fit = el.fit_ols(full_frame)
     record = complete_records[0]
     plain = el.predict_effort(fit, record)
-    corrected = el.predict_effort(fit, record, smearing=True)
+    assert plain == math.exp(float(full_frame.matrix[0] @ fit.coefficients))
     assert fit.smearing_factor > 1.0
-    assert corrected == pytest.approx(plain * fit.smearing_factor)
+    with pytest.raises(TypeError):
+        el.predict_effort(fit, record, smearing=True)
 
 
 def test_smearing_factor_is_mean_exp_residual(full_frame):
