@@ -5,80 +5,35 @@ one-hidden-layer network, scores predictions on five accuracy criteria,
 and runs the attribute-removal study behind the `effortlab` CLI.
 """
 
-from .ablation import (
-    AblationTable,
-    AttributeRanking,
-    RankedAttribute,
-    Scenario,
-    rank_attributes,
-    run_ablation,
-    run_scenario,
-    scenarios,
-)
-from .ann import (
-    AnnConfig,
-    AnnModel,
-    TrainingTrace,
-    forward,
-    gradient,
-    predict_effort_ann,
-    predict_frame,
-    train,
-)
-from .dataset import (
-    AttributeSummary,
-    DatasetSummary,
-    ProjectRecord,
-    RawRecord,
-    Violation,
-    bundled_dataset_path,
-    filter_complete,
-    load_dataset,
-    parse_dataset,
-    serialize_records,
-    summarize,
-    validate_derived,
-)
-from .errors import (
-    CollinearityError,
-    DegenerateInputError,
-    DomainError,
-    EffortlabError,
-    InsufficientDataError,
-    ParseError,
-    SchemaError,
-    TransformError,
-)
-from .metrics import (
-    MetricsReport,
-    evaluate,
-    mean_error,
-    mmre,
-    pred,
-    r_squared,
-    rmse,
-)
-from .numerics import (
-    LinearSystemSolution,
-    NormalityReport,
-    f_upper_tail_p,
-    normality_test,
-    regularized_incomplete_beta,
-    solve_least_squares,
-    t_two_sided_p,
-)
-from .regression import (
-    ModelFrame,
-    RegressionFit,
-    StepwiseStep,
-    StepwiseTrace,
-    build_candidate_frame,
-    build_frame,
-    fit_ols,
-    predict_effort,
-    stepwise_select,
-    vif,
-)
+import importlib
+
+# Where each public name is defined. A name's module, and numpy with the
+# model layers, is imported when the name is first used.
+_MODULES = {
+    "ablation": ("AblationTable", "AttributeRanking", "RankedAttribute",
+                 "Scenario", "rank_attributes", "run_ablation",
+                 "run_scenario", "scenarios"),
+    "ann": ("AnnConfig", "AnnModel", "TrainingTrace", "forward", "gradient",
+            "predict_effort_ann", "predict_frame", "train"),
+    "cli": ("render_report", "run"),
+    "dataset": ("AttributeSummary", "DatasetSummary", "ProjectRecord",
+                "RawRecord", "Violation", "bundled_dataset_path",
+                "filter_complete", "load_dataset", "parse_dataset",
+                "serialize_records", "summarize", "validate_derived"),
+    "errors": ("CollinearityError", "DegenerateInputError", "DomainError",
+               "EffortlabError", "InsufficientDataError", "ParseError",
+               "SchemaError", "TransformError"),
+    "metrics": ("MetricsReport", "evaluate", "mean_error", "mmre", "pred",
+                "r_squared", "rmse"),
+    "numerics": ("LinearSystemSolution", "NormalityReport", "f_upper_tail_p",
+                 "normality_test", "regularized_incomplete_beta",
+                 "solve_least_squares", "t_two_sided_p"),
+    "regression": ("ModelFrame", "RegressionFit", "StepwiseStep",
+                   "StepwiseTrace", "build_candidate_frame", "build_frame",
+                   "fit_ols", "predict_effort", "stepwise_select", "vif"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
@@ -149,9 +104,17 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The CLI is imported on first use, so that `python -m effortlab.cli`
-    # does not find it already imported by the package.
-    if name in ("render_report", "run"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Each public name is imported on first use and then bound here, so
+    # that `import effortlab` loads no numpy, `validate` and `summarize`
+    # never do, and `python -m effortlab.cli` does not find the CLI
+    # already imported by the package.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

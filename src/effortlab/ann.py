@@ -375,4 +375,10 @@ def predict_effort_ann(model: AnnModel, record: ProjectRecord) -> float:
     """Raw effort prediction for a single record."""
     row = feature_row(model.feature_columns, record)
     z = (row - model.input_mean) / model.input_sd
-    return float(np.exp(forward(model.weights, z, model.hidden_nodes))[0])
+    log_effort = forward(model.weights, z, model.hidden_nodes)
+    with np.errstate(over="ignore"):
+        effort = float(np.exp(log_effort)[0])
+    if math.isinf(effort):
+        raise DomainError(f"project {record.project_id}: predicted effort "
+                          "overflows the float range")
+    return effort

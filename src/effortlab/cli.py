@@ -11,23 +11,25 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .ablation import (AblationTable, run_ablation, run_scenario, scenarios)
-from .ann import (CONVERGENCE_TOLERANCE, HOLDOUT_FRACTION, MIN_GRADIENT,
-                  MIN_IMPROVEMENT_DELTA, AnnConfig, check_config)
 from .dataset import (DatasetSummary, Violation, bundled_dataset_path,
                       filter_complete, load_dataset, summarize,
                       validate_derived)
 from .errors import EffortlabError
 from .metrics import MetricsReport
-from .regression import RegressionFit, build_frame, fit_ols
+
+if TYPE_CHECKING:  # the model layers load numpy; see _model_name
+    from .ablation import AblationTable, run_ablation, run_scenario
+    from .ann import AnnConfig
+    from .regression import RegressionFit, build_frame, fit_ols
 
 SCHEMA_ID = "effortlab-report-v1"
 
@@ -38,11 +40,27 @@ _FMT_CONTEXT = Context(prec=400)
 
 _MODEL_TITLES = {"regression": "Regression model", "ann": "ANN model"}
 
-# The network's fixed settings, which a report states beside its config.
-_ANN_SETTINGS = {"holdout_fraction": HOLDOUT_FRACTION,
-                 "min_gradient": MIN_GRADIENT,
-                 "min_improvement_delta": MIN_IMPROVEMENT_DELTA,
-                 "convergence_tolerance": CONVERGENCE_TOLERANCE}
+# The scenarios of `ablation.scenarios()`, by name, for --features.
+_SCENARIO_NAMES = ("full", "no-env", "no-language", "no-texp", "no-mexp",
+                   "size-only")
+
+# The model layers' names that a model command calls, and their modules.
+# They load numpy, so `validate` and `summarize` never import them: each
+# is bound here on first use, and a model command calls it through this
+# module's globals, where a wrapper set from outside is the one found.
+_MODEL_NAMES = {"build_frame": "regression", "fit_ols": "regression",
+                "run_ablation": "ablation", "run_scenario": "ablation"}
+
+
+def _model_name(name: str):
+    module = importlib.import_module(f".{_MODEL_NAMES[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name in _MODEL_NAMES:
+        return _model_name(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value: float, places: int) -> str:
@@ -171,6 +189,8 @@ def _metrics_body(values: Sequence) -> dict:
 
 
 def _ablation_report(table: AblationTable) -> _Report:
+    from . import ann
+
     rows = [[scen.name, model, *_metric_values(table.cell(scen.name, model))]
             for scen in table.scenarios for model in table.models]
     sections = []
@@ -180,12 +200,17 @@ def _ablation_report(table: AblationTable) -> _Report:
             heading += ["Seeds: " + ", ".join(map(str, table.seeds)), ""]
         sections.append((heading, [row for row in rows if row[1] == model]))
     config = table.ann_config
+    # the network's fixed settings, which a report states beside its config
+    settings = {"holdout_fraction": ann.HOLDOUT_FRACTION,
+                "min_gradient": ann.MIN_GRADIENT,
+                "min_improvement_delta": ann.MIN_IMPROVEMENT_DELTA,
+                "convergence_tolerance": ann.CONVERGENCE_TOLERANCE}
     body = {
         "n": table.n,
         "models": list(table.models),
         "seeds": list(table.seeds),
         "ann_config": (None if config is None
-                       else {**asdict(config), **_ANN_SETTINGS}),
+                       else {**asdict(config), **settings}),
         "cells": [{"scenario": scenario, "model": model,
                    "metrics": _metrics_body(values)}
                   for scenario, model, *values in rows],
@@ -248,8 +273,17 @@ def _metrics_report(report: MetricsReport) -> _Report:
                    [values], _metrics_body(values))
 
 
-_BUILDERS = ((AblationTable, _ablation_report), (RegressionFit, _fit_report),
-             (MetricsReport, _metrics_report))
+def _build(report) -> _Report:
+    if isinstance(report, MetricsReport):
+        return _metrics_report(report)
+    # any other result comes from the model layers, loaded by then
+    from .ablation import AblationTable
+    from .regression import RegressionFit
+    if isinstance(report, AblationTable):
+        return _ablation_report(report)
+    if isinstance(report, RegressionFit):
+        return _fit_report(report)
+    raise EffortlabError(f"cannot render {type(report).__name__}")
 
 
 def render_report(report: AblationTable | RegressionFit | MetricsReport,
@@ -258,10 +292,7 @@ def render_report(report: AblationTable | RegressionFit | MetricsReport,
     """Render an analysis result in one of the three output formats."""
     if format not in FORMATS:
         raise EffortlabError(f"unknown format {format!r}")
-    for cls, build in _BUILDERS:
-        if isinstance(report, cls):
-            return _WRITERS[format](build(report), checksum)
-    raise EffortlabError(f"cannot render {type(report).__name__}")
+    return _WRITERS[format](_build(report), checksum)
 
 
 _VIOLATION_COLUMNS = tuple(_Column(None, key) for key in
@@ -315,6 +346,8 @@ def _render_summary(n_parsed: int, summary: DatasetSummary, format: str,
 def _model_flags(args: argparse.Namespace) -> tuple[list[int], AnnConfig]:
     """The seeds and network settings of a model command, checked with
     the network's own rules whichever model runs."""
+    from .ann import AnnConfig, check_config
+
     if args.seeds < 1:
         raise EffortlabError("--seeds must be at least 1")
     # a network's arrays grow with both, and past these no run is useful
@@ -368,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=choices, default=default)
         if name != "ablate":
             p.add_argument("--features",
-                           choices=[s.name for s in scenarios()],
+                           choices=_SCENARIO_NAMES,
                            default="full")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeds", type=int, default=1, metavar="<k>",
@@ -385,6 +418,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
     # model flags are checked before the dataset is read
     if _COMMANDS[args.command][1] is not None:
         seeds, config = _model_flags(args)
+        for name in _MODEL_NAMES:  # bound before the calls below
+            _model_name(name)
     digest = hashlib.sha256()
     raw = load_dataset(_dataset_path(args), digest=digest)
     checksum = digest.hexdigest()
@@ -406,6 +441,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
         result = run_ablation(complete, model=args.model, seeds=seeds,
                               ann_config=config)
     else:
+        from .ablation import scenarios
         scen = {s.name: s for s in scenarios()}[args.features]
         if args.model == "regression" and args.command == "fit":
             result = fit_ols(build_frame(complete, scen.features))

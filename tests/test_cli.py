@@ -55,6 +55,19 @@ def test_missing_command_is_usage_error(capsys):
     assert _capture(capsys, [])[0] == 2
 
 
+def test_unknown_features_is_usage_error(capsys):
+    code, out, err = _capture(capsys, ["metrics", "--features", "nope"])
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "\neffortlab metrics: error: argument --features: invalid choice: "
+        "'nope' (choose from 'full', 'no-env', 'no-language', 'no-texp', "
+        "'no-mexp', 'size-only')\n")
+
+
+def test_features_choices_are_the_scenario_names():
+    assert list(cli._SCENARIO_NAMES) == [s.name for s in el.scenarios()]
+
+
 def test_unreadable_dataset_is_data_error(capsys, tmp_path):
     code, out, err = _capture(
         capsys, ["validate", "--dataset", str(tmp_path / "missing.csv")])
@@ -220,6 +233,58 @@ def test_python_dash_m_runs_the_cli():
         assert proc.returncode == 0, proc.stderr
         assert "Complete records: 77" in proc.stdout
         assert proc.stderr == ""
+
+
+def _fresh_interpreter(code: str):
+    """Run `code` in a new interpreter and return what it printed as
+    JSON; `loaded()` there lists numpy and the package's modules."""
+    prelude = ("import json, os, sys\n"
+               "def loaded():\n"
+               "    return sorted(m for m in sys.modules if m == 'numpy'\n"
+               "                  or m.startswith('effortlab.'))\n")
+    proc = subprocess.run([sys.executable, "-c", prelude + code],
+                          capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def test_import_and_data_commands_load_no_numpy(tmp_path):
+    report = tmp_path / "fit.md"
+    steps = _fresh_interpreter(
+        "import effortlab\n"
+        "steps = [loaded()]\n"
+        "from effortlab.cli import run\n"
+        "codes = [run([c, '--out', os.devnull])\n"
+        "         for c in ('validate', 'summarize')]\n"
+        "steps.append([codes, loaded()])\n"
+        f"steps.append([run(['fit', '--out', {str(report)!r}]), loaded()])\n"
+        "print(json.dumps(steps))\n")
+    after_import, (codes, after_data), (fit_code, after_fit) = steps
+    assert after_import == []
+    assert codes == [0, 0]
+    assert after_data == ["effortlab.cli", "effortlab.dataset",
+                          "effortlab.errors", "effortlab.metrics"]
+    assert fit_code == 0 and "numpy" in after_fit
+    golden = Path(__file__).parent / "golden" / "fit.md"
+    assert report.read_bytes() == golden.read_bytes()
+
+
+def test_public_names_in_a_fresh_interpreter():
+    dir_lists_all, same = _fresh_interpreter(
+        "import effortlab\n"
+        "dir_lists_all = set(effortlab.__all__) <= set(dir(effortlab))\n"
+        "names = {}\n"
+        "exec('from effortlab import *', names)\n"
+        "del names['__builtins__']\n"
+        "same = sorted(name for name, value in names.items() if value is\n"
+        "              getattr(sys.modules[value.__module__], name))\n"
+        "print(json.dumps([dir_lists_all, same]))\n")
+    assert dir_lists_all
+    assert len(el.__all__) == 62
+    # each name is bound, and is its defining module's own object
+    assert same == sorted(el.__all__)
 
 
 def test_closed_pipe_exits_quietly():
@@ -428,3 +493,17 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
     assert code == 0
     assert "cli.render_validation" in names
     assert "dataset.validate" in names
+
+
+def test_model_commands_call_the_names_bound_on_the_cli(monkeypatch, capsys):
+    # the benchmark's tracer replaces these names on effortlab.cli
+    calls = []
+    for name in ("build_frame", "fit_ols", "run_scenario", "run_ablation"):
+        def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    for argv in (["fit"], ["metrics"], ["ablate", "--model", "regression"]):
+        assert _capture(capsys, argv)[0] == 0
+    assert calls == ["build_frame", "fit_ols", "run_scenario",
+                     "run_ablation"]
