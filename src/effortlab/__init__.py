@@ -7,8 +7,9 @@ and runs the attribute-removal study behind the `effortlab` CLI.
 
 import importlib
 
-# Where each public name is defined. A name's module, and numpy with the
-# model layers, is imported when the name is first used.
+# The public names, by the module that defines them: `__all__` is built
+# from this table. A name's module, and numpy with the model layers, is
+# imported when the name is first used.
 _MODULES = {
     "ablation": ("AblationTable", "AttributeRanking", "RankedAttribute",
                  "Scenario", "rank_attributes", "run_ablation",
@@ -37,70 +38,7 @@ _MODULE_OF = {name: module for module, names in _MODULES.items()
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AblationTable",
-    "AnnConfig",
-    "AnnModel",
-    "AttributeRanking",
-    "AttributeSummary",
-    "CollinearityError",
-    "DatasetSummary",
-    "DegenerateInputError",
-    "DomainError",
-    "EffortlabError",
-    "InsufficientDataError",
-    "LinearSystemSolution",
-    "MetricsReport",
-    "ModelFrame",
-    "NormalityReport",
-    "ParseError",
-    "ProjectRecord",
-    "RankedAttribute",
-    "RawRecord",
-    "RegressionFit",
-    "Scenario",
-    "SchemaError",
-    "StepwiseStep",
-    "StepwiseTrace",
-    "TrainingTrace",
-    "TransformError",
-    "Violation",
-    "build_candidate_frame",
-    "build_frame",
-    "bundled_dataset_path",
-    "evaluate",
-    "f_upper_tail_p",
-    "filter_complete",
-    "fit_ols",
-    "forward",
-    "gradient",
-    "load_dataset",
-    "mean_error",
-    "mmre",
-    "normality_test",
-    "parse_dataset",
-    "pred",
-    "predict_effort",
-    "predict_effort_ann",
-    "predict_frame",
-    "r_squared",
-    "rank_attributes",
-    "regularized_incomplete_beta",
-    "render_report",
-    "rmse",
-    "run",
-    "run_ablation",
-    "run_scenario",
-    "scenarios",
-    "serialize_records",
-    "solve_least_squares",
-    "stepwise_select",
-    "summarize",
-    "t_two_sided_p",
-    "train",
-    "validate_derived",
-    "vif",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -8,7 +8,7 @@ removable attributes by how much their absence hurts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Sequence
 
@@ -72,17 +72,9 @@ def scenarios() -> tuple[Scenario, ...]:
 
 
 def _median_report(reports: Sequence[MetricsReport]) -> MetricsReport:
-    def med(attr: str) -> float:
-        return float(np.median([getattr(r, attr) for r in reports]))
-
-    return MetricsReport(
-        mmre=med("mmre"),
-        pred_25=med("pred_25"),
-        rmse=med("rmse"),
-        mean_error=med("mean_error"),
-        r_squared=med("r_squared"),
-        n=reports[0].n,
-    )
+    return MetricsReport(n=reports[0].n, **{
+        f.name: float(np.median([getattr(r, f.name) for r in reports]))
+        for f in fields(MetricsReport) if f.name != "n"})
 
 
 def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -26,7 +26,7 @@ from .dataset import (DatasetSummary, Violation, bundled_dataset_path,
 from .errors import EffortlabError
 from .metrics import MetricsReport
 
-if TYPE_CHECKING:  # the model layers load numpy; see _model_name
+if TYPE_CHECKING:  # the model layers load numpy; see _MODEL_NAMES
     from .ablation import AblationTable, run_ablation, run_scenario
     from .ann import AnnConfig
     from .regression import RegressionFit, build_frame, fit_ols
@@ -44,23 +44,18 @@ _MODEL_TITLES = {"regression": "Regression model", "ann": "ANN model"}
 _SCENARIO_NAMES = ("full", "no-env", "no-language", "no-texp", "no-mexp",
                    "size-only")
 
-# The model layers' names that a model command calls, and their modules.
-# They load numpy, so `validate` and `summarize` never import them: each
-# is bound here on first use, and a model command calls it through this
+# The model layers' names that a model command calls. They load numpy, so
+# `validate` and `summarize` never import them: each is bound here on
+# first use, from the package, and a model command calls it through this
 # module's globals, where a wrapper set from outside is the one found.
-_MODEL_NAMES = {"build_frame": "regression", "fit_ols": "regression",
-                "run_ablation": "ablation", "run_scenario": "ablation"}
-
-
-def _model_name(name: str):
-    module = importlib.import_module(f".{_MODEL_NAMES[name]}", __package__)
-    return globals().setdefault(name, getattr(module, name))
+_MODEL_NAMES = ("build_frame", "fit_ols", "run_ablation", "run_scenario")
 
 
 def __getattr__(name: str):
-    if name in _MODEL_NAMES:
-        return _model_name(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODEL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    package = importlib.import_module(__package__)
+    return globals().setdefault(name, getattr(package, name))
 
 
 def _fmt(value: float, places: int) -> str:
@@ -153,6 +148,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if hasattr(value, "tolist"):  # a numpy array
+        return _jsonable(value.tolist())
     return value
 
 
@@ -180,8 +177,7 @@ _METRIC_COLUMNS = (
 
 
 def _metric_values(report: MetricsReport) -> list:
-    return [report.n, report.mmre, report.pred_25, report.rmse,
-            report.mean_error, report.r_squared]
+    return [getattr(report, c.key) for c in _METRIC_COLUMNS]
 
 
 def _metrics_body(values: Sequence) -> dict:
@@ -246,22 +242,7 @@ def _fit_report(fit: RegressionFit) -> _Report:
         f" (p = {_fmt(fit.f_p_value, 3)})",
         f"Residual degrees of freedom: {fit.df_residual}",
     ]
-    body = {
-        "columns": list(fit.columns),
-        "coefficients": [float(c) for c in fit.coefficients],
-        "standard_errors": [float(s) for s in fit.standard_errors],
-        "t_values": [float(t) for t in fit.t_values],
-        "p_values": [float(p) for p in fit.p_values],
-        "vif": dict(fit.vif),
-        "r_squared": fit.r_squared,
-        "f_statistic": fit.f_statistic,
-        "f_p_value": fit.f_p_value,
-        "residual_sum_of_squares": fit.residual_sum_of_squares,
-        "residual_variance": fit.residual_variance,
-        "smearing_factor": fit.smearing_factor,
-        "n": fit.n,
-        "df_residual": fit.df_residual,
-    }
+    body = {f.name: getattr(fit, f.name) for f in fields(fit)}
     return _Report("fit", "Regression fit", facts, _FIT_COLUMNS, rows, body,
                    notes)
 
@@ -419,7 +400,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
     if _COMMANDS[args.command][1] is not None:
         seeds, config = _model_flags(args)
         for name in _MODEL_NAMES:  # bound before the calls below
-            _model_name(name)
+            __getattr__(name)
     digest = hashlib.sha256()
     raw = load_dataset(_dataset_path(args), digest=digest)
     checksum = digest.hexdigest()

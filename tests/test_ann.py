@@ -240,6 +240,14 @@ def test_train_requires_ten_records(complete_records):
         el.train(frame)
 
 
+def test_train_requires_a_predictor(complete_records):
+    frame = el.build_frame(complete_records, [])
+    assert frame.columns == ("intercept",)
+    with pytest.raises(el.DomainError,
+                       match="^frame has no predictor columns$"):
+        el.train(frame)
+
+
 def test_zero_iterations_returns_initial_weights(full_frame):
     config = el.AnnConfig(max_iterations=0)
     model, trace = el.train(full_frame, config, seed=5)

@@ -289,3 +289,41 @@ def test_effort_overflow_is_one_named_error(command, data, message,
     code = cli.run([command, "--format", "json",
                     "--dataset", str(tmp_path / "data.csv")])
     assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+
+
+# every row lacks its effort: parsed, but not one record is complete
+_NO_COMPLETE = _bundled("Effort", "?", keep=3)
+
+
+def test_validate_reports_a_file_with_no_complete_record(tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.delenv("EFFORTLAB_DATASET", raising=False)
+    (tmp_path / "data.csv").write_bytes(_NO_COMPLETE)
+    code = cli.run(["validate", "--format", "json",
+                    "--dataset", str(tmp_path / "data.csv")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["body"] == {"n_parsed": 3, "n_complete": 0,
+                                       "violations": []}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("summarize", _NO_COMPLETE, "cannot summarize an empty dataset"),
+    ("fit", _NO_COMPLETE, "need at least one record"),
+    ("metrics", _NO_COMPLETE, "need at least one record"),
+    ("ablate", _NO_COMPLETE, "need at least one record"),
+    ("validate", b"@relation p\n@data\n1,2\n",
+     "no attribute declarations found"),
+    ("validate", b"@relation p\nhello\n@data\n",
+     "row 2: unexpected line 'hello'"),
+    ("validate", b"@relation p\n@attribute\n",
+     "row 2: malformed attribute declaration"),
+], ids=["summarize-empty", "fit-empty", "metrics-empty", "ablate-empty",
+        "arff-no-attributes", "arff-line-before-data",
+        "arff-bare-attribute"])
+def test_unusable_file_is_one_named_error(command, data, message, tmp_path,
+                                          monkeypatch, capsys):
+    monkeypatch.delenv("EFFORTLAB_DATASET", raising=False)
+    (tmp_path / "data.csv").write_bytes(data)
+    code = cli.run([command, "--dataset", str(tmp_path / "data.csv")])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))

@@ -4,6 +4,7 @@ import codecs
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,7 +273,7 @@ def test_import_and_data_commands_load_no_numpy(tmp_path):
 
 
 def test_public_names_in_a_fresh_interpreter():
-    dir_lists_all, same = _fresh_interpreter(
+    dir_lists_all, same, modules = _fresh_interpreter(
         "import effortlab\n"
         "dir_lists_all = set(effortlab.__all__) <= set(dir(effortlab))\n"
         "names = {}\n"
@@ -280,11 +281,16 @@ def test_public_names_in_a_fresh_interpreter():
         "del names['__builtins__']\n"
         "same = sorted(name for name, value in names.items() if value is\n"
         "              getattr(sys.modules[value.__module__], name))\n"
-        "print(json.dumps([dir_lists_all, same]))\n")
+        "modules = {name: value.__module__ for name, value in names.items()}\n"
+        "print(json.dumps([dir_lists_all, same, modules]))\n")
     assert dir_lists_all
     assert len(el.__all__) == 62
     # each name is bound, and is its defining module's own object
     assert same == sorted(el.__all__)
+    # and that module is the one the package's table loads for it, not one
+    # that re-exports the name and would load more than the name needs
+    assert modules == {name: f"effortlab.{module}"
+                       for name, module in el._MODULE_OF.items()}
 
 
 def test_closed_pipe_exits_quietly():
@@ -417,6 +423,16 @@ def test_json_reports_validate_against_schema(capsys, schema):
                   "--seeds", "2"]):
         _, out, _ = _capture(capsys, argv + ["--format", "json"])
         jsonschema.validate(json.loads(out), schema)
+
+
+def test_intercept_only_fit_has_no_f_test(complete_records, schema):
+    fit = el.fit_ols(el.build_frame(complete_records, []))
+    assert math.isnan(fit.f_statistic) and math.isnan(fit.f_p_value)
+    assert "F statistic: NaN (p = NaN)" in el.render_report(fit).splitlines()
+    doc = json.loads(el.render_report(fit, "json"))
+    jsonschema.validate(doc, schema)
+    assert doc["body"]["f_statistic"] is None
+    assert doc["body"]["f_p_value"] is None
 
 
 def test_json_round_trips_without_loss(capsys, complete_records):

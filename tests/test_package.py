@@ -21,7 +21,8 @@ def test_all_lists_exactly_the_public_names():
 
 
 def _unused_imports(source: str) -> set[str]:
-    """Names a module imports and never reads; `__all__` counts as a read,
+    """Names a module imports and never reads; a literal `__all__` counts
+    as a read (a computed one reads only the names its expression does),
     and an import whose lines carry `# noqa: F401` is exempt."""
     lines = source.splitlines()
     tree = ast.parse(source)
@@ -29,7 +30,8 @@ def _unused_imports(source: str) -> set[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign) and any(
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, (ast.List, ast.Tuple)) and any(
                 getattr(target, "id", None) == "__all__"
                 for target in node.targets)):
             used.update(ast.literal_eval(node.value))
@@ -60,3 +62,6 @@ def test_unused_import_check_sees_dead_and_exempt_imports():
               "from .a import b, c  # noqa: F401\nfrom .d import e, f\n"
               "__all__ = ['e']\nnp.zeros(1)\n")
     assert _unused_imports(source) == {"os", "f"}
+    computed = ("from .d import e, f\n_MODULES = {'d': ('e',)}\n"
+                "__all__ = sorted(_MODULES['d'])\n")
+    assert _unused_imports(computed) == {"e", "f"}

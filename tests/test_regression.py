@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import effortlab as el
 from effortlab.regression import ALPHA, _encode_language
@@ -358,6 +359,48 @@ def test_stepwise_trace_records_decisions(complete_records):
             assert step.p_value < ALPHA
         else:
             assert step.p_value > ALPHA
+
+
+def _proxy_frame(seed=5, n=60):
+    """x1 tracks the response, z1 + z2, best on its own; x2 and x3 track
+    z1 and z2 closely, so once both are in, x1 adds nothing."""
+    rng = np.random.default_rng(seed)
+    z1, z2 = rng.normal(size=n), rng.normal(size=n)
+    x1 = z1 + z2 + 0.5 * rng.normal(size=n)
+    x2 = z1 + 0.1 * rng.normal(size=n)
+    x3 = z2 + 0.1 * rng.normal(size=n)
+    y = z1 + z2 + 0.3 * rng.normal(size=n)
+    return el.ModelFrame(columns=("intercept", "x1", "x2", "x3"),
+                         matrix=np.column_stack([np.ones(n), x1, x2, x3]),
+                         response=y, project_ids=tuple(range(1, n + 1)))
+
+
+def test_stepwise_removes_a_term_made_redundant():
+    frame = _proxy_frame()
+    trace = el.stepwise_select(frame)
+    assert [(s.action, s.predictor) for s in trace.steps] == [
+        ("add", "x1"), ("add", "x2"), ("add", "x3"), ("remove", "x1")]
+    assert trace.selected == ("x2", "x3")
+    assert trace.fit.columns == ("intercept", "x2", "x3")
+
+    def rss(names):
+        cols = [frame.columns.index(c) for c in ("intercept", *names)]
+        X = frame.matrix[:, cols]
+        beta = np.linalg.lstsq(X, frame.response, rcond=None)[0]
+        resid = frame.response - X @ beta
+        return float(resid @ resid)
+
+    included = []
+    for step in trace.steps:
+        after = ([*included, step.predictor] if step.action == "add"
+                 else [c for c in included if c != step.predictor])
+        small, large = sorted((included, after), key=len)
+        df = frame.n - 1 - len(large)
+        f_stat = (rss(small) - rss(large)) / (rss(large) / df)
+        expected = scipy.stats.f.sf(f_stat, 1, df)
+        assert step.p_value == pytest.approx(expected, rel=1e-8), step
+        assert (step.p_value < ALPHA) == (step.action == "add")
+        included = after
 
 
 def test_stepwise_step_count_bounded(complete_records):
