@@ -9,7 +9,6 @@ removable attributes by how much their absence hurts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -17,10 +16,11 @@ import numpy as np
 # train is not called here, but stays bound: perfbench/spans.py wraps
 # effortlab.ablation.train
 from .ann import AnnConfig, predict_frame, train, train_seeds  # noqa: F401
-from .dataset import ProjectRecord
+from .dataset import ProjectRecord, _columns_of
 from .errors import DomainError
 from .metrics import MetricsReport, evaluate
-from .regression import FULL_MODEL, build_frame, fit_ols
+from .regression import (FULL_MODEL, ModelFrame, _design_columns, _subset,
+                         build_frame, fit_ols)
 
 MODEL_NAMES = ("regression", "ann")
 
@@ -77,14 +77,9 @@ def _median_report(reports: Sequence[MetricsReport]) -> MetricsReport:
         for f in fields(MetricsReport) if f.name != "n"})
 
 
-def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
-                 model: str, seeds: Sequence[int] = (0,),
-                 ann_config: AnnConfig = AnnConfig()) -> MetricsReport:
-    """Score one scenario/model cell on raw effort over all records."""
-    if model not in MODEL_NAMES:
-        raise DomainError(f"unknown model {model!r}")
-    frame = build_frame(records, scenario.features)
-    actual = list(map(attrgetter("effort"), records))
+def _score(frame: ModelFrame, actual: Sequence[float], model: str,
+           seeds: Sequence[int], ann_config: AnnConfig) -> MetricsReport:
+    """Score one model on a frame against the raw efforts."""
     if model == "regression":
         fit = fit_ols(frame)
         with np.errstate(over="ignore"):  # evaluate names an infinity
@@ -93,6 +88,16 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
     reports = [evaluate(actual, predict_frame(net, frame).tolist())
                for net, _ in train_seeds(frame, ann_config, seeds)]
     return _median_report(reports)
+
+
+def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
+                 model: str, seeds: Sequence[int] = (0,),
+                 ann_config: AnnConfig = AnnConfig()) -> MetricsReport:
+    """Score one scenario/model cell on raw effort over all records."""
+    if model not in MODEL_NAMES:
+        raise DomainError(f"unknown model {model!r}")
+    return _score(build_frame(records, scenario.features),
+                  _columns_of(records)["effort"], model, seeds, ann_config)
 
 
 def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
@@ -110,12 +115,15 @@ def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
     else:
         raise DomainError(f"model must be one of {MODEL_NAMES + ('both',)}")
     scens = scenarios()
+    full = build_frame(records, FULL_MODEL)
+    actual = _columns_of(records)["effort"]
     cells: dict[tuple[str, str], MetricsReport] = {}
-    for scen in scens:
+    for scen in scens:  # each subset equals the scenario's own frame
+        frame = _subset(full, [full.columns.index(c)
+                               for c in _design_columns(scen.features)])
         for m in models:
-            cells[(scen.name, m)] = run_scenario(
-                records, scen, m, seeds=seeds, ann_config=ann_config,
-            )
+            cells[(scen.name, m)] = _score(frame, actual, m, seeds,
+                                           ann_config)
     uses_ann = "ann" in models
     return AblationTable(
         scenarios=scens,

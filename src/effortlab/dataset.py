@@ -11,10 +11,12 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
-from itertools import islice
-from operator import attrgetter
+from itertools import compress, islice
+from operator import lt
 from typing import IO, Iterable, NamedTuple
 
 from .errors import DomainError, ParseError, SchemaError
@@ -85,6 +87,38 @@ class ProjectRecord(NamedTuple):
 # The numeric attributes that `summarize` describes, in record order.
 SUMMARY_ATTRIBUTES = tuple(name for name in ProjectRecord._fields
                            if name not in ("project_id", "language"))
+
+
+class _Table(Sequence):
+    """Records as one read-only sequence per field, each record built on
+    access; a table equals a list holding the same records."""
+
+    __slots__ = ("columns", "kind")
+
+    def __init__(self, columns: list[Sequence], kind: type) -> None:
+        self.columns, self.kind = columns, kind  # kind: the record class
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Table([c[index] for c in self.columns], self.kind)
+        return tuple.__new__(self.kind, [c[index] for c in self.columns])
+
+    def __iter__(self):
+        return map(partial(tuple.__new__, self.kind), zip(*self.columns))
+
+    def __eq__(self, other) -> bool:  # also makes a table unhashable
+        return (list(self) == list(other)
+                if isinstance(other, (list, _Table)) else NotImplemented)
+
+
+def _columns_of(records: Iterable[tuple]) -> dict[str, Sequence]:
+    """Each field's values by name, read off a table or transposed once."""
+    columns = (records.columns if isinstance(records, _Table)
+               else list(zip(*records)) or [()] * len(COLUMNS))
+    return dict(zip(RawRecord._fields, columns))
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,8 +196,8 @@ def _convert_column(tokens: tuple[str, ...], convert, column: str,
 
 
 def _chunk(chunk: list[tuple[int, list[str]]], width: int, specs: list,
-           seen: set) -> list[RawRecord]:
-    """Records of a chunk, converted column by column. Raises the first
+           seen: set) -> list[list]:
+    """Columns of a chunk, converted column by column. Raises the first
     failing check: each row's width, then each column in COLUMNS order,
     then a missing id, then a duplicate id; for a one-row chunk that is
     the row's own error."""
@@ -184,11 +218,11 @@ def _chunk(chunk: list[tuple[int, list[str]]], width: int, specs: list,
                          if n > 1 or i in seen)
         raise SchemaError(f"duplicate project id {duplicate}")
     seen.update(ids)  # last: a chunk that fails is converted again
-    return list(map(RawRecord, *values))
+    return values
 
 
 def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
-                       columns: list[str]) -> list[RawRecord]:
+                       columns: list[str]) -> Sequence[RawRecord]:
     """Rows are converted a chunk at a time. A chunk that fails is
     converted again one row at a time: every earlier row was clean, so
     the first row that fails alone raises the file's first error."""
@@ -200,19 +234,21 @@ def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
         raise SchemaError(f"duplicate attributes: {', '.join(duplicate)}")
     specs = [(columns.index(c), float if c in _FLOAT_COLUMNS else int, c)
              for c in COLUMNS]
-    records: list[RawRecord] = []
+    table: list[list] = [[] for _ in COLUMNS]
     seen: set = set()
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         try:
-            records.extend(_chunk(chunk, len(columns), specs, seen))
+            parts = [_chunk(chunk, len(columns), specs, seen)]
         except (ParseError, SchemaError):
-            for row in chunk:
-                records.extend(_chunk([row], len(columns), specs, seen))
-    return records
+            parts = [_chunk([row], len(columns), specs, seen) for row in chunk]
+        for part in parts:
+            for column, values in zip(table, part):
+                column.extend(values)
+    return _Table(table, RawRecord)
 
 
-def _parse_csv(stream: IO[str]) -> list[RawRecord]:
+def _parse_csv(stream: IO[str]) -> Sequence[RawRecord]:
     # rows are numbered by physical line, blank lines included
     lines = [(row_no, ln.rstrip("\r\n"))
              for row_no, ln in enumerate(stream, start=1) if ln.strip()]
@@ -223,7 +259,7 @@ def _parse_csv(stream: IO[str]) -> list[RawRecord]:
     return _records_from_rows(rows, columns)
 
 
-def _parse_arff(stream: IO[str]) -> list[RawRecord]:
+def _parse_arff(stream: IO[str]) -> Sequence[RawRecord]:
     columns: list[str] = []
     rows: list[tuple[int, list[str]]] = []
     in_data = False
@@ -251,7 +287,7 @@ def _parse_arff(stream: IO[str]) -> list[RawRecord]:
     return _records_from_rows(iter(rows), columns)
 
 
-def parse_dataset(stream: IO[str], format: str = "csv") -> list[RawRecord]:
+def parse_dataset(stream: IO[str], format: str = "csv") -> Sequence[RawRecord]:
     """Parse a dataset stream into RawRecords, one per data row."""
     if format == "csv":
         return _parse_csv(stream)
@@ -272,7 +308,7 @@ def _decode(data: bytes, digest) -> str:
         ) from None
 
 
-def load_dataset(path: str, digest=None) -> list[RawRecord]:
+def load_dataset(path: str, digest=None) -> Sequence[RawRecord]:
     """Parse a dataset file, picking the format from its content.
 
     The file is read once, as UTF-8 with an optional byte-order mark. A
@@ -290,27 +326,28 @@ def bundled_dataset_path() -> str:
     return str(resources.files("effortlab").joinpath("data/desharnais.csv"))
 
 
-def filter_complete(records: list[RawRecord]) -> list[ProjectRecord]:
+def filter_complete(records: Iterable[RawRecord]) -> Sequence[ProjectRecord]:
     """Keep records with all twelve fields present, preserving order."""
-    out = []
-    for rec in records:
-        if None in rec:
-            continue
-        if rec.effort <= 0:
-            raise DomainError(
-                f"project {rec.project_id}: effort must be positive"
-            )
-        if rec.points_non_adjust <= 0:
-            raise DomainError(
-                f"project {rec.project_id}: size must be positive"
-            )
+    columns = _columns_of(records)
+    if any(None in c for c in columns.values()):
+        keep = [None not in row for row in zip(*columns.values())]
+        columns = {name: list(compress(c, keep))
+                   for name, c in columns.items()}
+    table = _Table(list(columns.values()), ProjectRecord)
+    # one pass per column; only if that fails (a NaN may) is each checked
+    if (all(map(partial(lt, 0), columns["effort"]))
+            and all(map(partial(lt, 0), columns["points_non_adjust"]))
+            and all(map((1, 2, 3).__contains__, columns["language"]))):
+        return table
+    for rec in table:
+        if rec.effort <= 0 or rec.points_non_adjust <= 0:
+            what = "effort" if rec.effort <= 0 else "size"
+            raise DomainError(f"project {rec.project_id}: {what} must be "
+                              "positive")
         if rec.language not in (1, 2, 3):
-            raise SchemaError(
-                f"project {rec.project_id}: language code {rec.language} "
-                f"not in 1..3"
-            )
-        out.append(ProjectRecord._make(rec))
-    return out
+            raise SchemaError(f"project {rec.project_id}: language code "
+                              f"{rec.language} not in 1..3")
+    return table
 
 
 def validate_derived(record: ProjectRecord) -> list[Violation]:
@@ -334,14 +371,15 @@ def validate_derived(record: ProjectRecord) -> list[Violation]:
     return violations
 
 
-def summarize(records: list[ProjectRecord]) -> DatasetSummary:
+def summarize(records: Sequence[ProjectRecord]) -> DatasetSummary:
     """Descriptive statistics per numeric attribute."""
     if not records:
         raise DomainError("cannot summarize an empty dataset")
     attributes = {}
     n = len(records)
+    columns = _columns_of(records)
     for name in SUMMARY_ATTRIBUTES:
-        values = list(map(float, map(attrgetter(name), records)))
+        values = list(map(float, columns[name]))
         mean = sum(values) / n
         try:
             sd = (math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))

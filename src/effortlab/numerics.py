@@ -125,25 +125,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + coef / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + coef / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and then the odd step of the continued fraction
+        for coef in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                     -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coef * d
+            if abs(d) < _BETA_TINY:
+                d = _BETA_TINY
+            c = 1.0 + coef / c
+            if abs(c) < _BETA_TINY:
+                c = _BETA_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise DomainError(

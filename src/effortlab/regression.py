@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dataset import ProjectRecord
+from .dataset import ProjectRecord, _columns_of
 from .errors import CollinearityError, DomainError, TransformError
 from .numerics import f_upper_tail_p, solve_least_squares, t_two_sided_p
 
@@ -112,74 +111,74 @@ _DUMMIES = {name: {code: float(_encode_language(code)[k])
 _PLAIN = ("team_exp", "manager_exp", "envergure")
 
 
-def _column(name: str, records: Sequence[ProjectRecord]):
-    """One design column over the records, or the response as ln_effort.
+def _column(name: str, fields: dict[str, Sequence]):
+    """One design column, or the response as ln_effort, over the fields.
 
     Where a value cannot be formed, raises the error of the first record
     in order whose value is bad: TransformError naming the project for a
     non-positive ln source, DomainError for an unknown language code.
     """
     if name == "intercept":
-        return [1.0] * len(records)
+        return [1.0] * len(fields["project_id"])
     if name in _LN_SOURCES:
-        values = list(map(attrgetter(_LN_SOURCES[name]), records))
+        values = fields[_LN_SOURCES[name]]
         try:
             return list(map(math.log, values))
         except ValueError:
-            rec, value = next((r, v) for r, v in zip(records, values)
-                              if v <= 0)
+            project_id, value = next(
+                (i, v) for i, v in zip(fields["project_id"], values) if v <= 0)
             raise TransformError(f"cannot take ln of {name[3:]} = {value}",
-                                 project_id=rec.project_id) from None
+                                 project_id=project_id) from None
     if name in _DUMMIES:
         try:
-            return list(map(_DUMMIES[name].__getitem__,
-                            map(attrgetter("language"), records)))
+            return list(map(_DUMMIES[name].__getitem__, fields["language"]))
         except KeyError as exc:
             _encode_language(exc.args[0])  # the first bad code; raises
             raise
     if name in _PLAIN:
-        return list(map(attrgetter(name), records))
+        return fields[name]
     raise DomainError(f"unknown design column {name!r}")
 
 
-def _frame_from_columns(records: Sequence[ProjectRecord],
-                        columns: tuple[str, ...]) -> ModelFrame:
-    """Fills a C-contiguous matrix one column at a time with math.log, so
-    that every value is the one the row-by-row build gave, bit for bit;
-    the layout is kept because least-squares results depend on it."""
-    if not records:
-        raise DomainError("need at least one record")
-    matrix = np.empty((len(records), len(columns)))
-    try:
-        for j, name in enumerate(columns):
-            matrix[:, j] = _column(name, records)
-        response = np.array(_column("ln_effort", records))
-    except (TransformError, DomainError):
-        # Report the first bad record in order, and its first bad value.
-        for rec in records:
-            for name in columns + ("ln_effort",):
-                _column(name, (rec,))
-        raise
-    return ModelFrame(
-        columns=columns,
-        matrix=matrix,
-        response=response,
-        project_ids=tuple(map(attrgetter("project_id"), records)),
-    )
-
-
-def build_frame(records: Sequence[ProjectRecord],
-                features: Iterable[str] = FULL_MODEL) -> ModelFrame:
-    """Design matrix of an intercept and the named terms' columns, laid
-    out in TERMS order whatever the order of the names."""
+def _design_columns(features: Iterable[str]) -> tuple[str, ...]:
+    """An intercept and the named terms' columns, in TERMS order."""
     wanted = tuple(features)
     for name in wanted:
         if name not in TERMS:
             raise DomainError(f"unknown term {name!r}; choose from "
                               f"{tuple(TERMS)}")
-    return _frame_from_columns(records, ("intercept",) + tuple(
+    return ("intercept",) + tuple(
         column for term, columns in TERMS.items() if term in wanted
-        for column in columns))
+        for column in columns)
+
+
+def build_frame(records: Sequence[ProjectRecord],
+                features: Iterable[str] = FULL_MODEL) -> ModelFrame:
+    """Design matrix of an intercept and the named terms' columns in TERMS
+    order, filled one column at a time with math.log so that every value
+    is the row-by-row build's, bit for bit; the C-contiguous layout is
+    kept because least-squares results depend on it."""
+    columns = _design_columns(features)
+    if not records:
+        raise DomainError("need at least one record")
+    fields = _columns_of(records)
+    matrix = np.empty((len(records), len(columns)))
+    try:
+        for j, name in enumerate(columns):
+            matrix[:, j] = _column(name, fields)
+        response = np.array(_column("ln_effort", fields))
+    except (TransformError, DomainError):
+        # Report the first bad record in order, and its first bad value.
+        for rec in records:
+            for name in columns + ("ln_effort",):
+                _column(name, _columns_of((rec,)))
+        raise
+    return ModelFrame(
+        columns=columns,
+        matrix=matrix,
+        response=response,
+        project_ids=tuple(fields["project_id"]),
+    )
 
 
 def build_candidate_frame(records: Sequence[ProjectRecord]) -> ModelFrame:
@@ -188,10 +187,11 @@ def build_candidate_frame(records: Sequence[ProjectRecord]) -> ModelFrame:
 
 
 def _subset(frame: ModelFrame, keep: Sequence[int]) -> ModelFrame:
-    idx = list(keep)
+    # sorted, and take copies in C order: the layout build_frame gives
+    idx = sorted(keep)
     return ModelFrame(
         columns=tuple(frame.columns[i] for i in idx),
-        matrix=frame.matrix[:, idx],
+        matrix=frame.matrix.take(idx, axis=1),
         response=frame.response,
         project_ids=frame.project_ids,
     )
@@ -378,7 +378,8 @@ def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
 def feature_row(columns: Sequence[str],
                 record: ProjectRecord) -> np.ndarray:
     """One design row for a record, in the given column order."""
-    return np.array([_column(name, (record,))[0] for name in columns],
+    fields = _columns_of((record,))
+    return np.array([_column(name, fields)[0] for name in columns],
                     dtype=float)
 
 

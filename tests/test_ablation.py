@@ -147,3 +147,55 @@ def test_ranking_requires_model_cells(complete_records):
     table = el.run_ablation(complete_records, model="regression")
     with pytest.raises(el.DomainError):
         el.rank_attributes(table, model="ann")
+
+
+def _generated_records(n=2000, seed=11):
+    rng = np.random.default_rng(seed)
+    size = rng.lognormal(5.5, 0.8, n)
+    return [el.ProjectRecord(i + 1, int(rng.integers(0, 5)),
+                             int(rng.integers(0, 8)), 86, 10,
+                             float(size[i] * rng.lognormal(3.0, 0.5)),
+                             int(rng.integers(1, 900)),
+                             int(rng.integers(1, 500)), float(size[i]),
+                             int(rng.integers(0, 60)), 100.0,
+                             int(rng.integers(1, 4)))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("source", ["bundled", "generated"])
+def test_ablation_builds_one_frame_and_subsets_it(source, complete_records,
+                                                  monkeypatch):
+    records = (complete_records if source == "bundled"
+               else _generated_records())
+    built, scored = [], []
+    build, score = el.ablation.build_frame, el.ablation._score
+
+    def spy_build(*args, **kwargs):
+        built.append(args[1:])
+        return build(*args, **kwargs)
+
+    def spy_score(frame, *args):
+        scored.append(frame)
+        return score(frame, *args)
+
+    monkeypatch.setattr(el.ablation, "build_frame", spy_build)
+    monkeypatch.setattr(el.ablation, "_score", spy_score)
+    table = el.run_ablation(records, model="regression")
+    assert built == [(el.regression.FULL_MODEL,)]
+    for scen, frame in zip(el.scenarios(), list(scored), strict=True):
+        fresh = build(records, scen.features)
+        assert frame.matrix.flags.c_contiguous
+        assert frame.columns == fresh.columns
+        assert frame.matrix.tobytes() == fresh.matrix.tobytes()
+        assert frame.response.tobytes() == fresh.response.tobytes()
+        assert table.cell(scen.name, "regression") == el.run_scenario(
+            records, scen, "regression")
+
+
+def test_ann_cells_match_single_runs(complete_records):
+    config = el.AnnConfig(max_iterations=20)
+    table = el.run_ablation(complete_records, model="ann", seeds=[0, 1],
+                            ann_config=config)
+    for scen in el.scenarios():
+        assert table.cell(scen.name, "ann") == el.run_scenario(
+            complete_records, scen, "ann", seeds=[0, 1], ann_config=config)

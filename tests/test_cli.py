@@ -509,6 +509,9 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
     assert code == 0
     assert "cli.render_validation" in names
     assert "dataset.validate" in names
+    # the benchmark's rows and parse/filter times come from these
+    assert tracer.counts["dataset.rows"] == 81
+    assert {"dataset.load", "dataset.filter"} <= set(names)
 
 
 def test_model_commands_call_the_names_bound_on_the_cli(monkeypatch, capsys):

@@ -398,3 +398,88 @@ def test_language_distribution(complete_records):
     for record in complete_records:
         counts[record.language] += 1
     assert counts == {1: 44, 2: 23, 3: 10}
+
+
+def _with_missing_cells(n=2 * dataset._CHUNK_ROWS + 5):
+    """CSV text of n rows over several chunks; every seventh row misses
+    one cell, each marker and column in turn, and every thirteenth fails
+    the PointsAdjust identity."""
+    lines = [HEADER]
+    for i in range(1, n + 1):
+        cells = ROW_1.split(",")
+        cells[0] = str(i)
+        cells[5] = str(1000 + i)
+        if i % 13 == 0:
+            cells[10] = "400"
+        if i % 7 == 0:
+            cells[1 + i % 11] = "?" if i % 2 else ""
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(params=["bundled", "missing-cells"])
+def table_and_rows(request, complete_records):
+    """Complete records as the table filter_complete returns and as a
+    plain list of the same records."""
+    table = (complete_records if request.param == "bundled"
+             else el.filter_complete(_parse(_with_missing_cells())))
+    return table, list(table)
+
+
+def _frame_bytes(frame):
+    return (frame.columns, frame.matrix.tobytes(), frame.response.tobytes(),
+            frame.project_ids)
+
+
+def test_column_path_equals_row_path(table_and_rows):
+    from effortlab.regression import FULL_MODEL, TERMS
+    table, rows = table_and_rows
+    assert not isinstance(table, list) and table == rows
+    for features in (FULL_MODEL, TERMS):
+        assert (_frame_bytes(el.build_frame(table, features))
+                == _frame_bytes(el.build_frame(rows, features)))
+    assert el.summarize(table) == el.summarize(rows)
+    assert ([v for r in table for v in el.validate_derived(r)]
+            == [v for r in rows for v in el.validate_derived(r)])
+    assert el.filter_complete(rows) == table
+
+
+def test_table_slice_builds_the_frame_of_the_same_rows(complete_records):
+    head = complete_records[:9]
+    assert head == list(complete_records)[:9]
+    assert (_frame_bytes(el.build_frame(head))
+            == _frame_bytes(el.build_frame(list(complete_records)[:9])))
+
+
+def test_table_is_a_read_only_sequence_of_records(raw_records):
+    rows = list(raw_records)
+    assert len(raw_records) == len(rows) == 81
+    assert raw_records[-1] == rows[-1]
+    assert type(raw_records[-1]) is el.RawRecord
+    assert raw_records[10:20:3] == rows[10:20:3]
+    assert raw_records.index(rows[5]) == 5 and rows[5] in raw_records
+    with pytest.raises(IndexError):
+        raw_records[81]
+    with pytest.raises(TypeError):
+        raw_records[0] = rows[1]
+    with pytest.raises(TypeError):
+        hash(raw_records)
+
+
+def test_filter_complete_shares_the_columns_of_a_complete_table():
+    records = _parse(f"{HEADER}\n{ROW_1}\n{ROW_2}\n")
+    complete = el.filter_complete(records)
+    assert all(kept is parsed for kept, parsed
+               in zip(complete.columns, records.columns))
+    assert type(complete[0]) is el.ProjectRecord
+
+
+def test_nan_effort_does_not_hide_a_later_nonpositive_effort():
+    nan = el.RawRecord(*map(int, ROW_1.split(",")))._replace(
+        effort=float("nan"))
+    zero = el.RawRecord(*map(int, ROW_2.split(",")))._replace(effort=0.0)
+    with pytest.raises(el.DomainError,
+                       match="^project 2: effort must be positive$"):
+        el.filter_complete([nan, zero])
+    # a NaN effort alone passes, as it always has
+    assert len(el.filter_complete([nan])) == 1

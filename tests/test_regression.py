@@ -1,5 +1,6 @@
 """Frame construction, OLS diagnostics, stepwise selection, prediction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -401,6 +402,41 @@ def test_stepwise_removes_a_term_made_redundant():
         assert step.p_value == pytest.approx(expected, rel=1e-8), step
         assert (step.p_value < ALPHA) == (step.action == "add")
         included = after
+
+
+def _led_by_envergure(n=200, seed=3):
+    """Records whose effort follows envergure most, so that stepwise adds
+    it first, ahead of terms that come before it in TERMS."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(1, n + 1):
+        env, texp = int(rng.integers(0, 60)), int(rng.integers(0, 5))
+        size = float(rng.lognormal(5.5, 0.8))
+        effort = math.exp(5 + 0.05 * env + 0.15 * texp
+                          + 0.3 * math.log(size) + 0.4 * rng.normal())
+        records.append(_record(
+            project_id=i, team_exp=texp,
+            manager_exp=int(rng.integers(0, 8)), effort=effort,
+            transactions=int(rng.integers(1, 900)),
+            entities=int(rng.integers(1, 500)), points_non_adjust=size,
+            envergure=env, language=int(rng.integers(1, 4))))
+    return records
+
+
+def _fit_bytes(fit):
+    return {f.name: (value.tobytes() if isinstance(value, np.ndarray)
+                     else value)
+            for f in dataclasses.fields(fit)
+            for value in [getattr(fit, f.name)]}
+
+
+def test_stepwise_final_fit_is_the_fit_of_its_selection():
+    records = _led_by_envergure()
+    trace = el.stepwise_select(el.build_candidate_frame(records))
+    added = [s.predictor for s in trace.steps if s.action == "add"]
+    assert added[0] == "envergure" and tuple(added) != trace.selected
+    assert (_fit_bytes(trace.fit)
+            == _fit_bytes(el.fit_ols(el.build_frame(records, trace.selected))))
 
 
 def test_stepwise_step_count_bounded(complete_records):
