@@ -20,7 +20,7 @@ _MODULES = {
     "dataset": ("AttributeSummary", "DatasetSummary", "ProjectRecord",
                 "RawRecord", "Violation", "bundled_dataset_path",
                 "filter_complete", "load_dataset", "parse_dataset",
-                "serialize_records", "summarize", "validate_derived"),
+                "summarize", "validate_derived"),
     "errors": ("CollinearityError", "DegenerateInputError", "DomainError",
                "EffortlabError", "InsufficientDataError", "ParseError",
                "SchemaError", "TransformError"),

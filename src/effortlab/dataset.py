@@ -4,6 +4,11 @@ The canonical schema is the Desharnais project table: twelve attributes
 per project, with PointsNonAdjust and PointsAdjust derived from the other
 size fields. Files circulate as CSV and as a minimal ARFF-like format;
 both are accepted here, and CSV is the normative interchange format.
+
+Data lines are converted a chunk at a time: the chunk is joined and split
+once on commas, and each column is converted in one pass. An int column
+is range-checked only in a chunk with a line longer than 308 characters,
+since a shorter token is below 10**308, inside the float range.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import compress, islice
+from itertools import compress, repeat
 from operator import lt
 from typing import IO, Iterable, NamedTuple
 
@@ -43,6 +48,9 @@ _ID_COLUMN = "Project"
 
 # Rows converted column by column at a time; bounds the tokens held at once.
 _CHUNK_ROWS = 2048
+
+# No int written in this many characters is beyond the float range.
+_SHORT_LINE = 308
 
 ADJUST_TOLERANCE = 0.02
 
@@ -91,19 +99,23 @@ SUMMARY_ATTRIBUTES = tuple(name for name in ProjectRecord._fields
 
 class _Table(Sequence):
     """Records as one read-only sequence per field, each record built on
-    access; a table equals a list holding the same records."""
+    access; a table equals a list holding the same records. `complete`
+    states that no cell is None; False means unknown."""
 
-    __slots__ = ("columns", "kind")
+    __slots__ = ("columns", "kind", "complete")
 
-    def __init__(self, columns: list[Sequence], kind: type) -> None:
+    def __init__(self, columns: list[Sequence], kind: type,
+                 complete: bool = False) -> None:
         self.columns, self.kind = columns, kind  # kind: the record class
+        self.complete = complete
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return _Table([c[index] for c in self.columns], self.kind)
+            return _Table([c[index] for c in self.columns], self.kind,
+                          self.complete)
         return tuple.__new__(self.kind, [c[index] for c in self.columns])
 
     def __iter__(self):
@@ -177,39 +189,43 @@ def _parse_value(token: str, column: str, row: int):
     return value
 
 
-def _convert_column(tokens: tuple[str, ...], convert, column: str,
-                    row_nos: list[int]) -> list:
-    """One column of a chunk in one pass of `convert`; the per-cell path
-    only when some token is missing, malformed, not finite or (an int
-    other than an id) beyond the float range."""
+def _convert_column(tokens: list[str], convert, column: str,
+                    row_nos: list[int],
+                    short_lines: bool) -> tuple[list, bool]:
+    """One column of a chunk in one pass of `convert`, and whether no cell
+    is missing; the per-cell path only when some token is missing,
+    malformed, not finite or (an int other than an id, in a chunk that is
+    not `short_lines`) beyond the float range."""
     try:
         values = list(map(convert, tokens))
         if convert is float:
             if not all(map(math.isfinite, values)):
                 raise ValueError
-        elif column != _ID_COLUMN:
+        elif column != _ID_COLUMN and not short_lines:
             # OverflowError when the largest magnitude is beyond the range
             float(max(values)), float(min(values))
-        return values
+        return values, True
     except (ValueError, OverflowError):
-        return [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]
+        values = [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]
+        return values, None not in values
 
 
-def _chunk(chunk: list[tuple[int, list[str]]], width: int, specs: list,
-           seen: set) -> list[list]:
-    """Columns of a chunk, converted column by column. Raises the first
-    failing check: each row's width, then each column in COLUMNS order,
-    then a missing id, then a duplicate id; for a one-row chunk that is
-    the row's own error."""
-    for row_no, tokens in chunk:
-        if len(tokens) != width:
-            raise ParseError(
-                f"expected {width} fields, got {len(tokens)}", row=row_no,
-            )
-    row_nos = [row_no for row_no, _ in chunk]
-    cells = list(zip(*(tokens for _, tokens in chunk)))
-    values = [_convert_column(cells[i], convert, column, row_nos)
-              for i, convert, column in specs]
+def _chunk(lines: list[str], row_nos: list[int], width: int, specs: list,
+           seen: set) -> tuple[tuple[list, ...], bool]:
+    """Columns of a chunk, converted column by column, and whether no cell
+    is missing. Raises the first failing check: each row's width, then
+    each column in COLUMNS order, then a missing id, then a duplicate id;
+    for a one-row chunk that is the row's own error."""
+    commas = list(map(str.count, lines, repeat(",")))
+    if commas.count(width - 1) != len(commas):
+        row_no, n = next((r, n) for r, n in zip(row_nos, commas)
+                         if n != width - 1)
+        raise ParseError(f"expected {width} fields, got {n + 1}", row=row_no)
+    cells = ",".join(lines).split(",")
+    short_lines = max(map(len, lines)) <= _SHORT_LINE
+    values, complete = zip(*(
+        _convert_column(cells[i::width], convert, column, row_nos, short_lines)
+        for i, convert, column in specs))
     ids = values[0]
     if None in ids:
         raise ParseError("missing project id", row=row_nos[ids.index(None)])
@@ -218,12 +234,13 @@ def _chunk(chunk: list[tuple[int, list[str]]], width: int, specs: list,
                          if n > 1 or i in seen)
         raise SchemaError(f"duplicate project id {duplicate}")
     seen.update(ids)  # last: a chunk that fails is converted again
-    return values
+    return values, all(complete)
 
 
-def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
-                       columns: list[str]) -> Sequence[RawRecord]:
-    """Rows are converted a chunk at a time. A chunk that fails is
+def _records_from_lines(lines: list[str], row_nos: list[int],
+                        columns: list[str]) -> Sequence[RawRecord]:
+    """Data lines, stripped and not blank, with their physical row
+    numbers, are converted a chunk at a time. A chunk that fails is
     converted again one row at a time: every earlier row was clean, so
     the first row that fails alone raises the file's first error."""
     missing = [c for c in COLUMNS if c not in columns]
@@ -236,32 +253,38 @@ def _records_from_rows(rows: Iterable[tuple[int, list[str]]],
              for c in COLUMNS]
     table: list[list] = [[] for _ in COLUMNS]
     seen: set = set()
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
+    complete = True
+    for start in range(0, len(lines), _CHUNK_ROWS):
+        chunk = lines[start:start + _CHUNK_ROWS]
+        nos = row_nos[start:start + _CHUNK_ROWS]
         try:
-            parts = [_chunk(chunk, len(columns), specs, seen)]
+            parts = [_chunk(chunk, nos, len(columns), specs, seen)]
         except (ParseError, SchemaError):
-            parts = [_chunk([row], len(columns), specs, seen) for row in chunk]
-        for part in parts:
-            for column, values in zip(table, part):
-                column.extend(values)
-    return _Table(table, RawRecord)
+            parts = [_chunk([line], [row_no], len(columns), specs, seen)
+                     for line, row_no in zip(chunk, nos)]
+        for values, whole in parts:
+            complete = complete and whole
+            for column, part in zip(table, values):
+                column.extend(part)
+    return _Table(table, RawRecord, complete)
 
 
 def _parse_csv(stream: IO[str]) -> Sequence[RawRecord]:
-    # rows are numbered by physical line, blank lines included
-    lines = [(row_no, ln.rstrip("\r\n"))
-             for row_no, ln in enumerate(stream, start=1) if ln.strip()]
+    # rows are numbered by physical line, blank lines included; the
+    # stream's own iteration finds the lines, as a caller opened it
+    stripped = list(map(str.strip, stream))
+    row_nos = list(compress(range(1, len(stripped) + 1), stripped))
+    lines = list(compress(stripped, stripped))
     if not lines:
         raise ParseError("empty file", row=1)
-    columns = [c.strip() for c in lines[0][1].split(",")]
-    rows = ((row_no, line.split(",")) for row_no, line in lines[1:])
-    return _records_from_rows(rows, columns)
+    columns = [c.strip() for c in lines[0].split(",")]
+    return _records_from_lines(lines[1:], row_nos[1:], columns)
 
 
 def _parse_arff(stream: IO[str]) -> Sequence[RawRecord]:
     columns: list[str] = []
-    rows: list[tuple[int, list[str]]] = []
+    lines: list[str] = []
+    row_nos: list[int] = []
     in_data = False
     for row_no, raw in enumerate(stream, start=1):
         line = raw.split("%", 1)[0].strip()
@@ -281,10 +304,11 @@ def _parse_arff(stream: IO[str]) -> Sequence[RawRecord]:
             continue
         if not in_data:
             raise ParseError(f"unexpected line {line!r}", row=row_no)
-        rows.append((row_no, line.split(",")))
+        lines.append(line)
+        row_nos.append(row_no)
     if not columns:
         raise SchemaError("no attribute declarations found")
-    return _records_from_rows(iter(rows), columns)
+    return _records_from_lines(lines, row_nos, columns)
 
 
 def parse_dataset(stream: IO[str], format: str = "csv") -> Sequence[RawRecord]:
@@ -329,7 +353,8 @@ def bundled_dataset_path() -> str:
 def filter_complete(records: Iterable[RawRecord]) -> Sequence[ProjectRecord]:
     """Keep records with all twelve fields present, preserving order."""
     columns = _columns_of(records)
-    if any(None in c for c in columns.values()):
+    complete = isinstance(records, _Table) and records.complete
+    if not complete and any(None in c for c in columns.values()):
         keep = [None not in row for row in zip(*columns.values())]
         columns = {name: list(compress(c, keep))
                    for name, c in columns.items()}
@@ -394,18 +419,3 @@ def summarize(records: Sequence[ProjectRecord]) -> DatasetSummary:
         )
     return DatasetSummary(attributes=attributes, count=n)
 
-
-def serialize_records(records: Iterable[RawRecord | ProjectRecord]) -> str:
-    """Render records back to canonical CSV text."""
-    lines = [",".join(COLUMNS)]
-    for rec in records:
-        tokens = []
-        for value in rec:
-            if value is None:
-                tokens.append("?")
-            elif isinstance(value, float) and value == int(value):
-                tokens.append(str(int(value)))
-            else:
-                tokens.append(str(value))
-        lines.append(",".join(tokens))
-    return "\n".join(lines) + "\n"

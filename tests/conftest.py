@@ -4,6 +4,23 @@ import json
 import pytest
 
 import effortlab as el
+from effortlab.dataset import COLUMNS
+
+
+def serialize_records(records) -> str:
+    """Render records back to canonical CSV text, `?` for a missing cell."""
+    lines = [",".join(COLUMNS)]
+    for rec in records:
+        tokens = []
+        for value in rec:
+            if value is None:
+                tokens.append("?")
+            elif isinstance(value, float) and value == int(value):
+                tokens.append(str(int(value)))
+            else:
+                tokens.append(str(value))
+        lines.append(",".join(tokens))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,8 @@ from effortlab import cli
 from effortlab.cli import run
 from effortlab.dataset import bundled_dataset_path
 
+from conftest import serialize_records
+
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -178,7 +180,7 @@ def test_constant_effort_with_a_rounded_mean_is_named(capsys, tmp_path):
 
 
 def test_violations_flip_exit_code(capsys, tmp_path, raw_records):
-    lines = el.serialize_records(raw_records).splitlines()
+    lines = serialize_records(raw_records).splitlines()
     first = lines[1].split(",")
     first[6] = str(int(first[6]) + 7)  # break the Transactions sum
     lines[1] = ",".join(first)
@@ -192,7 +194,7 @@ def test_violations_flip_exit_code(capsys, tmp_path, raw_records):
 def test_env_var_points_at_dataset(capsys, tmp_path, monkeypatch,
                                    raw_records):
     path = tmp_path / "copy.csv"
-    path.write_text(el.serialize_records(raw_records))
+    path.write_text(serialize_records(raw_records))
     monkeypatch.setenv("EFFORTLAB_DATASET", str(path))
     code, out, _ = _capture(capsys, ["validate"])
     assert code == 0
@@ -284,7 +286,7 @@ def test_public_names_in_a_fresh_interpreter():
         "modules = {name: value.__module__ for name, value in names.items()}\n"
         "print(json.dumps([dir_lists_all, same, modules]))\n")
     assert dir_lists_all
-    assert len(el.__all__) == 62
+    assert len(el.__all__) == 61
     # each name is bound, and is its defining module's own object
     assert same == sorted(el.__all__)
     # and that module is the one the package's table loads for it, not one

@@ -10,6 +10,8 @@ import effortlab as el
 from effortlab import dataset
 from effortlab.dataset import COLUMNS
 
+from conftest import serialize_records
+
 HEADER = ",".join(COLUMNS)
 
 ROW_1 = "1,1,4,85,12,5152,253,52,305,34,302,1"
@@ -184,19 +186,25 @@ _FAULTS = ("", "?", "x", "nan", "1e999", "9" * 400, "2.5")
 @st.composite
 def _csv_texts(draw):
     """Small CSV texts with bad tokens, short and long rows, missing and
-    repeated ids and permuted headers; about half the rows are clean."""
+    repeated ids, space-padded tokens, lines ending in a carriage return
+    and permuted headers; about half the rows are clean."""
     columns = draw(st.permutations(COLUMNS))
     lines = [",".join(columns)]
     for _ in range(draw(st.integers(0, 7))):
         cells = [str(draw(st.integers(0, 99))) for _ in columns]
         cells[columns.index("Project")] = str(draw(st.integers(1, 5)))
-        fault = draw(st.integers(0, 2 * len(_FAULTS) + 1))
+        fault = draw(st.integers(0, 2 * len(_FAULTS) + 3))
+        where = draw(st.integers(0, len(cells) - 1))
         if fault < len(_FAULTS):
-            cells[draw(st.integers(0, len(cells) - 1))] = _FAULTS[fault]
+            cells[where] = _FAULTS[fault]
         elif fault == len(_FAULTS):
             cells.pop()
         elif fault == len(_FAULTS) + 1:
             cells.append("1")
+        elif fault == len(_FAULTS) + 2:
+            cells[where] = f" {cells[where]} "
+        elif fault == len(_FAULTS) + 3:
+            cells[-1] += "\r"
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -232,6 +240,81 @@ def test_duplicate_id_across_the_chunk_boundary():
     assert len(records) == dataset._CHUNK_ROWS + 1
     with pytest.raises(el.SchemaError, match="^duplicate project id 7$"):
         _parse("\n".join([HEADER, *first, again]) + "\n")
+
+
+@pytest.mark.parametrize("got", [11, 13], ids=["short", "long"])
+def test_width_error_after_the_first_chunk_names_its_physical_line(got):
+    rows = [ROW_2.replace("2,", f"{i},", 1) for i in range(1, 3001)]
+    k = dataset._CHUNK_ROWS + 100
+    rows[k] = ",".join((rows[k].split(",") + ["1"])[:got])
+    # line 1 is the header and line 2 is blank, so rows[k] is line k + 3
+    with pytest.raises(el.ParseError) as info:
+        _parse("\n".join([HEADER, "", *rows]) + "\n")
+    assert str(info.value) == f"row {k + 3}: expected 12 fields, got {got}"
+
+
+def test_crlf_stream_without_newline_translation(tmp_path, raw_records):
+    text = serialize_records(raw_records).replace("\n", "\r\n")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.encode())
+    assert _parse(text) == el.load_dataset(str(path)) == raw_records
+    # the stream's own lines are used: with newline="" a lone CR ends one
+    lone_cr = io.StringIO(text.replace("\r\n", "\r"), newline="")
+    assert el.parse_dataset(lone_cr) == raw_records
+    bad = text.replace(",1\r\n", ",x\r\n", 1)
+    path.write_bytes(bad.encode())
+    errors = []
+    for parse in (lambda: _parse(bad), lambda: el.load_dataset(str(path))):
+        with pytest.raises(el.ParseError) as info:
+            parse()
+        errors.append(str(info.value))
+    assert errors == ["row 2: non-numeric token 'x' in column Language"] * 2
+
+
+def _rows_with_missing_cell(k, n=2 * dataset._CHUNK_ROWS + 5):
+    rows = [ROW_2.replace("2,", f"{i},", 1) for i in range(1, n + 1)]
+    if k is not None:
+        rows[k] = rows[k].replace(",0,86,", ",?,86,", 1)
+    return "\n".join([HEADER, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("k", [0, 2 * dataset._CHUNK_ROWS + 4, None],
+                         ids=["first-chunk", "last-chunk", "no-missing"])
+def test_table_is_complete_only_without_a_missing_cell(k):
+    records = _parse(_rows_with_missing_cell(k))
+    complete = k is None
+    assert records.complete is complete
+    assert records[:3].complete is records[-3:].complete is complete
+    assert len(el.filter_complete(records)) == len(records) - (not complete)
+
+
+@pytest.mark.parametrize("k", [dataset._CHUNK_ROWS + 3, None],
+                         ids=["missing", "no-missing"])
+def test_rows_converted_one_at_a_time_keep_the_completeness(k, monkeypatch):
+    # every chunk of more than one row fails, so each is converted again
+    # one row at a time
+    chunk = dataset._chunk
+
+    def failing(lines, row_nos, *rest):
+        if len(lines) > 1:
+            raise el.ParseError("chunk failed", row=row_nos[0])
+        return chunk(lines, row_nos, *rest)
+
+    text = _rows_with_missing_cell(k)
+    expected = list(_parse(text))
+    monkeypatch.setattr(dataset, "_chunk", failing)
+    records = _parse(text)
+    assert records == expected
+    assert records.complete is (k is None)
+    assert records[dataset._CHUNK_ROWS:].complete is (k is None)
+    assert len(el.filter_complete(records)) == len(records) - (k is not None)
+
+
+def test_filter_complete_scans_a_list_of_records():
+    full = el.RawRecord(*map(int, ROW_1.split(",")))
+    part = el.RawRecord(*map(int, ROW_2.split(",")))._replace(team_exp=None)
+    assert el.filter_complete([full, part]) == [full]
+    assert el.filter_complete((part, full)) == [full]
 
 
 def test_record_classes_list_the_columns_fields_in_one_order():
@@ -271,7 +354,7 @@ def test_filter_complete_copies_each_record(raw_records, complete_records):
 
 def test_arff_like_matches_csv(raw_records):
     attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
-    rows = el.serialize_records(raw_records).splitlines()[1:]
+    rows = serialize_records(raw_records).splitlines()[1:]
     text = f"% comment\n@relation projects\n{attrs}\n@data\n" + "\n".join(rows)
     records = _parse(text, format="arff-like")
     assert records == raw_records
@@ -279,7 +362,7 @@ def test_arff_like_matches_csv(raw_records):
 
 def test_load_dataset_autodetects_arff(tmp_path, raw_records):
     attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
-    rows = el.serialize_records(raw_records).splitlines()[1:]
+    rows = serialize_records(raw_records).splitlines()[1:]
     path = tmp_path / "projects.arff"
     path.write_text(f"@relation projects\n{attrs}\n@data\n" + "\n".join(rows))
     assert el.load_dataset(str(path)) == raw_records
@@ -291,18 +374,18 @@ def test_unknown_format_rejected():
 
 
 def test_serialize_parse_round_trip(raw_records):
-    text = el.serialize_records(raw_records)
+    text = serialize_records(raw_records)
     assert _parse(text) == raw_records
 
 
 def test_round_trip_preserves_missing_markers(raw_records):
-    text = el.serialize_records(raw_records)
+    text = serialize_records(raw_records)
     line = next(l for l in text.splitlines() if l.startswith("38,"))
     assert "?" in line
 
 
 def test_filter_complete_idempotent(complete_records):
-    text = el.serialize_records(complete_records)
+    text = serialize_records(complete_records)
     again = el.filter_complete(_parse(text))
     assert again == complete_records
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import effortlab as el
 from effortlab.ann import _init_network
 
+from conftest import serialize_records
+
 shapes = st.floats(min_value=0.05, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
 unit = st.floats(min_value=0.0, max_value=1.0,
@@ -153,7 +155,7 @@ raw_values = dict(
                 unique_by=lambda r: r.project_id,
                 min_size=1, max_size=8))
 def test_serialize_parse_round_trip(records):
-    text = el.serialize_records(records)
+    text = serialize_records(records)
     assert el.parse_dataset(io.StringIO(text)) == records
 
 
@@ -165,7 +167,7 @@ def test_filter_complete_idempotent(records):
         complete = el.filter_complete(records)
     except (el.DomainError, el.SchemaError):
         return
-    text = el.serialize_records(complete)
+    text = serialize_records(complete)
     assert el.filter_complete(el.parse_dataset(io.StringIO(text))) == complete
 
 
