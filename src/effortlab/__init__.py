@@ -14,8 +14,8 @@ _MODULES = {
     "ablation": ("AblationTable", "AttributeRanking", "RankedAttribute",
                  "Scenario", "rank_attributes", "run_ablation",
                  "run_scenario", "scenarios"),
-    "ann": ("AnnConfig", "AnnModel", "TrainingTrace", "forward", "gradient",
-            "predict_effort_ann", "predict_frame", "train"),
+    "ann": ("AnnConfig", "AnnModel", "TrainingTrace", "predict_frame",
+            "train"),
     "cli": ("render_report", "run"),
     "dataset": ("AttributeSummary", "DatasetSummary", "ProjectRecord",
                 "RawRecord", "Violation", "bundled_dataset_path",
@@ -24,14 +24,11 @@ _MODULES = {
     "errors": ("CollinearityError", "DegenerateInputError", "DomainError",
                "EffortlabError", "InsufficientDataError", "ParseError",
                "SchemaError", "TransformError"),
-    "metrics": ("MetricsReport", "evaluate", "mean_error", "mmre", "pred",
-                "r_squared", "rmse"),
-    "numerics": ("LinearSystemSolution", "NormalityReport", "f_upper_tail_p",
-                 "normality_test", "regularized_incomplete_beta",
-                 "solve_least_squares", "t_two_sided_p"),
+    "metrics": ("MetricsReport", "evaluate"),
+    "numerics": ("NormalityReport", "normality_test"),
     "regression": ("ModelFrame", "RegressionFit", "StepwiseStep",
                    "StepwiseTrace", "build_candidate_frame", "build_frame",
-                   "fit_ols", "predict_effort", "stepwise_select", "vif"),
+                   "fit_ols", "stepwise_select", "vif"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items()
               for name in names}
@@ -42,16 +39,15 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    # Each public name is imported on first use and then bound here, so
-    # that `import effortlab` loads no numpy, `validate` and `summarize`
-    # never do, and `python -m effortlab.cli` does not find the CLI
-    # already imported by the package.
+    # Each public name is read off its module on every use and never
+    # bound here, so that `import effortlab` loads no numpy, `validate`
+    # and `summarize` never do, `python -m effortlab.cli` does not find
+    # the CLI already imported by the package, and a name is always what
+    # its module holds at that moment.
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 def __dir__() -> list[str]:

@@ -39,9 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ProjectRecord
 from .errors import DomainError, InsufficientDataError
-from .regression import ModelFrame, feature_row
+from .regression import ModelFrame
 
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_GRADIENT_BELOW_MIN = "gradient_below_min"
@@ -369,16 +368,3 @@ def predict_frame(model: AnnModel, frame: ModelFrame) -> np.ndarray:
     Z = (frame.matrix[:, keep] - model.input_mean) / model.input_sd
     with np.errstate(over="ignore"):  # evaluate names an infinity
         return np.exp(forward(model.weights, Z, model.hidden_nodes))
-
-
-def predict_effort_ann(model: AnnModel, record: ProjectRecord) -> float:
-    """Raw effort prediction for a single record."""
-    row = feature_row(model.feature_columns, record)
-    z = (row - model.input_mean) / model.input_sd
-    log_effort = forward(model.weights, z, model.hidden_nodes)
-    with np.errstate(over="ignore"):
-        effort = float(np.exp(log_effort)[0])
-    if math.isinf(effort):
-        raise DomainError(f"project {record.project_id}: predicted effort "
-                          "overflows the float range")
-    return effort

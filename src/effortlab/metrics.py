@@ -1,8 +1,8 @@
 """Accuracy criteria for effort predictions.
 
-All metrics operate on raw (untransformed) actual and predicted values,
-given as two equal-length sequences: MMRE, PRED(0.25), RMSE, mean error,
-and R-squared.
+`evaluate` scores raw (untransformed) actual and predicted values,
+given as two equal-length sequences, on all five criteria in one pass:
+MMRE, PRED(0.25), RMSE, mean error and R-squared.
 """
 
 from __future__ import annotations
@@ -86,41 +86,11 @@ def _scores(actual: Iterable[float], predicted: Iterable[float],
     return report
 
 
-def mmre(actual: Iterable[float], predicted: Iterable[float]) -> float:
-    """Mean magnitude of relative error, |actual - predicted| / actual."""
-    return _scores(actual, predicted, need_r_squared=False).mmre
-
-
-def pred(actual: Iterable[float], predicted: Iterable[float]) -> float:
-    """Fraction of pairs whose MRE is at most PRED_LEVEL, 0.25."""
-    return _scores(actual, predicted, need_r_squared=False).pred_25
-
-
-def rmse(actual: Iterable[float], predicted: Iterable[float]) -> float:
-    return _scores(actual, predicted, need_r_squared=False).rmse
-
-
-def mean_error(actual: Iterable[float], predicted: Iterable[float]) -> float:
-    """Mean of (actual - predicted); positive means underestimation."""
-    return _scores(actual, predicted, need_r_squared=False).mean_error
-
-
-def r_squared(actual: Iterable[float], predicted: Iterable[float]) -> float:
-    """1 - SSE/SST around the mean of the actuals.
-
-    A single pair (or any sample with constant actuals) has zero total
-    variation, so the ratio is undefined; that case raises
-    DegenerateInputError rather than returning a sentinel.
-    """
-    return _scores(actual, predicted).r_squared
-
-
 def evaluate(actual: Iterable[float],
              predicted: Iterable[float]) -> MetricsReport:
     """Compute all five criteria over one set of pairs.
 
-    Each criterion's own function reads its value off the same pass, so
-    every value and every error is the one the criterion gives alone
-    (only R-squared and this function reject actuals without variation).
+    Actuals without variation leave R-squared undefined, so they raise
+    DegenerateInputError.
     """
     return _scores(actual, predicted)

@@ -2,8 +2,7 @@
 
 Builds design matrices from complete project records, fits OLS with the
 usual inference table (standard errors, t statistics, p values, model F,
-VIF), runs bidirectional stepwise selection, and turns a fitted model
-back into raw-effort predictions.
+VIF), and runs bidirectional stepwise selection.
 """
 
 from __future__ import annotations
@@ -155,9 +154,9 @@ def _design_columns(features: Iterable[str]) -> tuple[str, ...]:
 def build_frame(records: Sequence[ProjectRecord],
                 features: Iterable[str] = FULL_MODEL) -> ModelFrame:
     """Design matrix of an intercept and the named terms' columns in TERMS
-    order, filled one column at a time with math.log so that every value
-    is the row-by-row build's, bit for bit; the C-contiguous layout is
-    kept because least-squares results depend on it."""
+    order, filled one column at a time with math.log, whose values the
+    goldens pin bit for bit; the C-contiguous layout is kept because
+    least-squares results depend on it."""
     columns = _design_columns(features)
     if not records:
         raise DomainError("need at least one record")
@@ -373,25 +372,3 @@ def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
         selected=ordered,
         fit=fit_ols(final),
     )
-
-
-def feature_row(columns: Sequence[str],
-                record: ProjectRecord) -> np.ndarray:
-    """One design row for a record, in the given column order."""
-    fields = _columns_of((record,))
-    return np.array([_column(name, fields)[0] for name in columns],
-                    dtype=float)
-
-
-def predict_effort(fit: RegressionFit, record: ProjectRecord) -> float:
-    """Raw effort prediction: exp of the linear predictor.
-
-    Back-transforming the log-scale mean is biased low; multiply by
-    `fit.smearing_factor` for the corrected value.
-    """
-    try:
-        return math.exp(float(feature_row(fit.columns, record)
-                              @ fit.coefficients))
-    except OverflowError:
-        raise DomainError(f"project {record.project_id}: predicted effort "
-                          "overflows the float range") from None

@@ -84,7 +84,7 @@ def _reference_train(frame, config, seed):
     best_sse, best_w, best_iter = hold_hist[0], w.copy(), 0
     patience = 0
     stop = STOP_MAX_ITERATIONS
-    g = el.gradient(w, Z_train, y_train, h)
+    g = ann.gradient(w, Z_train, y_train, h)
     direction = -g
     step = 0.5
     iterations = 0
@@ -108,7 +108,7 @@ def _reference_train(frame, config, seed):
             stop = STOP_IMPROVEMENT_BELOW_DELTA
             break
         w = w + step * direction
-        g_new = el.gradient(w, Z_train, y_train, h)
+        g_new = ann.gradient(w, Z_train, y_train, h)
         if it % n_params == 0:
             beta = 0.0
         else:
@@ -162,8 +162,8 @@ def test_kernels_bitwise_match_references():
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
         w = ann._init_network(d, h, seed=d * h)
-        _assert_bitwise(el.forward(w, X, h), _reference_forward(w, X, h))
-        _assert_bitwise(el.gradient(w, X, y, h),
+        _assert_bitwise(ann.forward(w, X, h), _reference_forward(w, X, h))
+        _assert_bitwise(ann.gradient(w, X, y, h),
                         _reference_gradient(w, X, y, h))
 
 
@@ -175,10 +175,10 @@ def test_kernels_bitwise_equal_across_input_kinds():
     w = ann._init_network(5, 4, seed=3)
     for fast, other in ((X, X.tolist()), (X[:1], X[0]),
                         (X_int.astype(float), X_int)):
-        _assert_bitwise(el.forward(w, other, 4), el.forward(w, fast, 4))
+        _assert_bitwise(ann.forward(w, other, 4), ann.forward(w, fast, 4))
         m = len(fast)
-        _assert_bitwise(el.gradient(w, other, list(y[:m]), 4),
-                        el.gradient(w, fast, y[:m], 4))
+        _assert_bitwise(ann.gradient(w, other, list(y[:m]), 4),
+                        ann.gradient(w, fast, y[:m], 4))
 
 
 def test_parameter_count():
@@ -210,13 +210,13 @@ def test_forward_matches_manual_computation():
     params = np.array([2.0, -1.0, 3.0, 0.5])
     x = np.array([[1.5]])
     hidden = 1.0 / (1.0 + np.exp(-(2.0 * 1.5 - 1.0)))
-    assert el.forward(params, x, 1)[0] == pytest.approx(3.0 * hidden + 0.5)
+    assert ann.forward(params, x, 1)[0] == pytest.approx(3.0 * hidden + 0.5)
 
 
 def test_forward_extreme_inputs_stay_finite():
     params = ann._init_network(2, 3, seed=1)
     x = np.array([[1e4, -1e4]])
-    assert np.isfinite(el.forward(params, x, 3)).all()
+    assert np.isfinite(ann.forward(params, x, 3)).all()
 
 
 def test_gradient_matches_central_differences():
@@ -228,7 +228,7 @@ def test_gradient_matches_central_differences():
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
         w = ann._init_network(d, h, seed=int(rng.integers(1000)))
-        g = el.gradient(w, X, y, h)
+        g = ann.gradient(w, X, y, h)
         fd = _fd_gradient(w, X, y, h)
         scale = np.maximum(np.abs(g) + np.abs(fd), 1e-8)
         assert np.max(np.abs(g - fd) / scale) < 1e-5
@@ -478,7 +478,7 @@ def test_learns_noiseless_linear_map():
 def test_predict_single_record_matches_frame(complete_records, full_frame):
     model, _ = el.train(full_frame, seed=4)
     batch = el.predict_frame(model, full_frame)
-    one = el.predict_effort_ann(model, complete_records[10])
+    one = el.predict_frame(model, el.build_frame([complete_records[10]]))[0]
     assert one == pytest.approx(batch[10])
     assert np.all(batch > 0)
 

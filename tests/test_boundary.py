@@ -4,7 +4,6 @@ EffortlabError with exit code 1, never in another exception."""
 import contextlib
 import io
 import json
-import math
 import statistics
 from pathlib import Path
 
@@ -194,31 +193,6 @@ def test_cli_gives_a_report_or_an_error_line(data_path, schema, data, argv):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
-
-
-def test_predict_effort_beyond_the_float_range_names_the_project(data_path):
-    # exp of the linear predictor once raised a bare OverflowError
-    data_path.write_bytes(_HUGE_FIT)
-    records = el.filter_complete(el.load_dataset(str(data_path)))
-    fit = el.fit_ols(el.build_frame(records))
-    by_id = {record.project_id: record for record in records}
-    assert math.isfinite(el.predict_effort(fit, by_id[1]))
-    with pytest.raises(el.DomainError, match="^project 37: predicted effort "
-                       "overflows the float range$"):
-        el.predict_effort(fit, by_id[37])
-
-
-def test_network_prediction_beyond_the_float_range_names_the_project(
-        data_path):
-    # exp of the network's output once returned inf with a numpy warning
-    data_path.write_bytes(_HUGE_FIT)
-    records = el.filter_complete(el.load_dataset(str(data_path)))
-    model, _ = el.train(el.build_frame(records), seed=0)
-    by_id = {record.project_id: record for record in records}
-    assert math.isfinite(el.predict_effort_ann(model, by_id[2]))
-    with pytest.raises(el.DomainError, match="^project 1: predicted effort "
-                       "overflows the float range$"):
-        el.predict_effort_ann(model, by_id[1])
 
 
 def _unchecked_filter(records):

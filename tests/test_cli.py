@@ -286,8 +286,8 @@ def test_public_names_in_a_fresh_interpreter():
         "modules = {name: value.__module__ for name, value in names.items()}\n"
         "print(json.dumps([dir_lists_all, same, modules]))\n")
     assert dir_lists_all
-    assert len(el.__all__) == 61
-    # each name is bound, and is its defining module's own object
+    assert len(el.__all__) == 47
+    # each name is its defining module's own object
     assert same == sorted(el.__all__)
     # and that module is the one the package's table loads for it, not one
     # that re-exports the name and would load more than the name needs
@@ -514,6 +514,23 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
     # the benchmark's rows and parse/filter times come from these
     assert tracer.counts["dataset.rows"] == 81
     assert {"dataset.load", "dataset.filter"} <= set(names)
+
+
+def test_benchmark_tracer_leaves_the_package_names_as_it_found_them():
+    # a public name first read while the tracer is installed is the
+    # tracer's wrapper then, and its module's own object again after
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    during, after = _fresh_interpreter(
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import spans\n"
+        "import effortlab as el\n"
+        "import effortlab.regression as rg\n"
+        "t = spans.Tracer()\n"
+        "t.install()\n"
+        "during = el.vif is rg.vif\n"
+        "t.uninstall()\n"
+        "print(json.dumps([during, el.vif is rg.vif]))\n")
+    assert (during, after) == (True, True)
 
 
 def test_model_commands_call_the_names_bound_on_the_cli(monkeypatch, capsys):

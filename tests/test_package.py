@@ -1,13 +1,17 @@
-"""The package's public names: exactly what `__all__` lists; and no
-module of the package or of its tests imports a name it never uses."""
+"""The package's public names: exactly what `__all__` lists, each
+function reached by a command unless named as unreached; and no module
+of the package or of its tests imports a name it never uses."""
 
 import ast
+import os
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import effortlab as el
+from effortlab import cli
 
 
 def test_all_lists_exactly_the_public_names():
@@ -18,6 +22,40 @@ def test_all_lists_exactly_the_public_names():
     public = {name for name in dir(el) if not name.startswith("_")
               and not isinstance(getattr(el, name), types.ModuleType)}
     assert public - set(el.__all__) == set()
+
+
+# Public functions that no command calls, each kept on purpose: the
+# stepwise search and its frame, the attribute ranking, the normality
+# test and a one-seed training.
+UNREACHED = {"build_candidate_frame", "normality_test", "rank_attributes",
+             "stepwise_select", "train"}
+_COMMANDS = (["validate"], ["summarize"], ["fit"],
+             ["fit", "--model", "ann", "--max-iter", "3"], ["metrics"],
+             ["metrics", "--model", "ann", "--max-iter", "3"],
+             ["ablate", "--model", "both", "--seeds", "2", "--max-iter", "3"])
+
+
+def test_every_public_function_is_reached_by_a_command(monkeypatch):
+    monkeypatch.delenv("EFFORTLAB_DATASET", raising=False)
+    functions = {}
+    for name in el.__all__:
+        value = getattr(el, name)
+        if isinstance(value, types.FunctionType):
+            functions[value.__code__] = name
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in functions:
+            called.add(functions[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.run([*argv, "--format", fmt, "--out", os.devnull])
+                 for argv in _COMMANDS for fmt in cli.FORMATS]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * 21
+    assert set(functions.values()) - called == UNREACHED
 
 
 def _unused_imports(source: str) -> set[str]:

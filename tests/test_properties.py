@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 import effortlab as el
 from effortlab.ann import _init_network
+from effortlab.metrics import _scores
+from effortlab.numerics import (regularized_incomplete_beta,
+                                solve_least_squares, t_two_sided_p)
 
 from conftest import serialize_records
 
@@ -23,24 +26,29 @@ def test_incomplete_beta_reflection(a, b, x):
     # tiny x values do not survive the 1 - x reflection in floats, so
     # the two sides would be evaluated at inconsistent arguments
     assume(1.0 - (1.0 - x) == x)
-    lhs = el.regularized_incomplete_beta(a, b, x)
-    rhs = 1.0 - el.regularized_incomplete_beta(b, a, 1.0 - x)
+    lhs = regularized_incomplete_beta(a, b, x)
+    rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
     assert abs(lhs - rhs) <= 1e-10
 
 
 @given(shapes, shapes, unit)
 def test_incomplete_beta_within_unit_interval(a, b, x):
-    value = el.regularized_incomplete_beta(a, b, x)
+    value = regularized_incomplete_beta(a, b, x)
     assert 0.0 <= value <= 1.0
 
 
 @given(st.floats(-50, 50, allow_nan=False), st.integers(1, 500))
 def test_t_p_value_properties(t, df):
-    p = el.t_two_sided_p(t, df)
+    p = t_two_sided_p(t, df)
     assert 0.0 <= p <= 1.0
-    assert p == el.t_two_sided_p(-t, df)
+    assert p == t_two_sided_p(-t, df)
     # widening |t| can only shrink the tail
-    assert el.t_two_sided_p(abs(t) + 1.0, df) <= p + 1e-12
+    assert t_two_sided_p(abs(t) + 1.0, df) <= p + 1e-12
+
+
+def _criteria(actual, predicted):
+    # the pairs' actuals may be constant, which only R-squared rejects
+    return _scores(actual, predicted, need_r_squared=False)
 
 
 pair_lists = st.lists(
@@ -55,21 +63,22 @@ def test_metrics_permutation_invariant(pairs, rnd):
     order = list(range(len(pairs[0])))
     rnd.shuffle(order)
     shuffled = [[values[i] for i in order] for values in pairs]
-    assert el.mmre(*shuffled) == pytest.approx(el.mmre(*pairs))
-    assert el.pred(*shuffled) == el.pred(*pairs)
-    assert el.rmse(*shuffled) == pytest.approx(el.rmse(*pairs))
-    assert el.mean_error(*shuffled) == pytest.approx(el.mean_error(*pairs))
+    got, want = _criteria(*shuffled), _criteria(*pairs)
+    assert got.mmre == pytest.approx(want.mmre)
+    assert got.pred_25 == want.pred_25
+    assert got.rmse == pytest.approx(want.rmse)
+    assert got.mean_error == pytest.approx(want.mean_error)
 
 
 @given(pair_lists, st.floats(min_value=0.01, max_value=100.0))
 def test_metrics_scale_behavior(pairs, scale):
     scaled = [[v * scale for v in values] for values in pairs]
-    assert el.mmre(*scaled) == pytest.approx(el.mmre(*pairs), rel=1e-9)
-    assert el.pred(*scaled) == pytest.approx(el.pred(*pairs))
-    assert el.rmse(*scaled) == pytest.approx(el.rmse(*pairs) * scale,
-                                             rel=1e-9)
-    assert el.mean_error(*scaled) == pytest.approx(
-        el.mean_error(*pairs) * scale, rel=1e-9, abs=1e-9)
+    got, want = _criteria(*scaled), _criteria(*pairs)
+    assert got.mmre == pytest.approx(want.mmre, rel=1e-9)
+    assert got.pred_25 == pytest.approx(want.pred_25)
+    assert got.rmse == pytest.approx(want.rmse * scale, rel=1e-9)
+    assert got.mean_error == pytest.approx(
+        want.mean_error * scale, rel=1e-9, abs=1e-9)
 
 
 @given(pair_lists)
@@ -77,14 +86,16 @@ def test_metrics_scale_behavior(pairs, scale):
 def test_rmse_dominates_mean_error(pairs):
     # equal errors make rmse and |mean error| the same real number, and
     # rounding can leave rmse an ulp below; allow a few ulps of |me|
-    me = abs(el.mean_error(*pairs))
-    assert el.rmse(*pairs) + 1e-12 + 4 * np.spacing(me) >= me
+    report = _criteria(*pairs)
+    me = abs(report.mean_error)
+    assert report.rmse + 1e-12 + 4 * np.spacing(me) >= me
 
 
 @given(pair_lists)
 def test_mmre_nonnegative_and_pred_in_unit(pairs):
-    assert el.mmre(*pairs) >= 0.0
-    assert 0.0 <= el.pred(*pairs) <= 1.0
+    report = _criteria(*pairs)
+    assert report.mmre >= 0.0
+    assert 0.0 <= report.pred_25 <= 1.0
 
 
 @settings(max_examples=40)
@@ -95,7 +106,7 @@ def test_least_squares_agrees_with_normal_equations(seed):
     p = int(rng.integers(1, 5))
     X = rng.normal(size=(n, p))
     y = rng.normal(size=n)
-    sol = el.solve_least_squares(X, y)
+    sol = solve_least_squares(X, y)
     ref = np.linalg.solve(X.T @ X, X.T @ y)
     assert np.max(np.abs(sol.coefficients - ref)) < 1e-8
 

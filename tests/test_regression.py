@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 import effortlab as el
+from effortlab import numerics
 from effortlab.regression import ALPHA, _encode_language
 
 
@@ -219,8 +220,8 @@ def test_vif_matches_auxiliary_regressions(complete_records):
                           matrix=frames[0].matrix[:, 1:],
                           response=frames[0].response,
                           project_ids=frames[0].project_ids)
-    cov = el.solve_least_squares(frame.matrix,
-                                 frame.response).unscaled_covariance
+    cov = numerics.solve_least_squares(frame.matrix,
+                                       frame.response).unscaled_covariance
     got = el.vif(frame, cov)
     for name, value in _auxiliary_vifs(frame).items():
         assert got[name] == pytest.approx(value, rel=1e-12), name
@@ -232,7 +233,7 @@ def test_fit_makes_one_least_squares_solve(full_frame, monkeypatch):
 
     def counted(design, response):
         solves.append(design.shape)
-        return el.solve_least_squares(design, response)
+        return numerics.solve_least_squares(design, response)
 
     monkeypatch.setattr(el.regression, "solve_least_squares", counted)
     el.fit_ols(full_frame)
@@ -278,8 +279,8 @@ def test_vif_names_constant_column(full_frame):
         response=full_frame.response,
         project_ids=full_frame.project_ids,
     )
-    cov = el.solve_least_squares(frame.matrix,
-                                 frame.response).unscaled_covariance
+    cov = numerics.solve_least_squares(frame.matrix,
+                                       frame.response).unscaled_covariance
     with pytest.raises(el.DomainError, match="^column 'flat' is constant$"):
         el.vif(frame, cov)
 
@@ -469,31 +470,27 @@ def test_predict_effort_known_coefficients():
     )
     record = _record(points_non_adjust=298.0, team_exp=2, manager_exp=2,
                      envergure=30, language=3)
-    assert el.predict_effort(fit, record) == pytest.approx(1231.3, abs=0.5)
-
-
-def test_predict_effort_smearing_toggle(complete_records, full_frame):
-    # the prediction is uncorrected; the caller multiplies by the factor
-    fit = el.fit_ols(full_frame)
-    record = complete_records[0]
-    plain = el.predict_effort(fit, record)
-    assert plain == math.exp(float(full_frame.matrix[0] @ fit.coefficients))
-    assert fit.smearing_factor > 1.0
-    with pytest.raises(TypeError):
-        el.predict_effort(fit, record, smearing=True)
+    frame = el.build_frame([record])
+    assert frame.columns == fit.columns
+    assert math.exp(frame.matrix[0] @ fit.coefficients) == pytest.approx(
+        1231.3, abs=0.5)
 
 
 def test_smearing_factor_is_mean_exp_residual(full_frame):
+    # a raw-effort prediction is uncorrected; the caller multiplies by it
     fit = el.fit_ols(full_frame)
     resid = full_frame.response - full_frame.matrix @ fit.coefficients
     assert fit.smearing_factor == pytest.approx(float(np.mean(np.exp(resid))))
+    assert fit.smearing_factor > 1.0
 
 
 @pytest.mark.parametrize("build", [el.build_frame, el.build_candidate_frame])
-def test_feature_row_equals_frame_row_bit_for_bit(build, complete_records):
+def test_one_record_frame_equals_frame_row_bit_for_bit(build,
+                                                       complete_records):
+    # a one-record frame is how a single project is predicted
     frame = build(complete_records)
     for i, rec in enumerate(complete_records):
-        row = el.regression.feature_row(frame.columns, rec)
+        row = build([rec]).matrix[0]
         assert np.array_equal(row.view(np.int64),
                               frame.matrix[i].view(np.int64))
 
@@ -501,12 +498,9 @@ def test_feature_row_equals_frame_row_bit_for_bit(build, complete_records):
 @pytest.mark.parametrize("bad", [dict(points_non_adjust=0.0),
                                  dict(language=4)],
                          ids=["size-0", "language-4"])
-def test_predict_effort_raises_what_build_frame_raises(bad, full_frame):
-    fit = el.fit_ols(full_frame)
+def test_predict_effort_raises_what_build_frame_raises(bad):
     record = _record(project_id=5, **bad)
     with pytest.raises(el.EffortlabError) as built:
         el.build_frame([record])
-    with pytest.raises(type(built.value), match=f"^{built.value}$"):
-        el.predict_effort(fit, record)
     assert str(built.value) in ("project 5: cannot take ln of size = 0.0",
                                 "language code must be 1, 2 or 3, got 4")
