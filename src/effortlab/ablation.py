@@ -9,13 +9,15 @@ removable attributes by how much their absence hurts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .ann import (AnnConfig, AnnModel, _predict_frame, _train_frames,
+                  train_seeds)
 # train is not called here, but stays bound: perfbench/spans.py wraps
 # effortlab.ablation.train
-from .ann import AnnConfig, predict_frame, train, train_seeds  # noqa: F401
+from .ann import train  # noqa: F401
 from .dataset import ProjectRecord, _columns_of
 from .errors import DomainError
 from .metrics import MetricsReport, evaluate
@@ -77,17 +79,20 @@ def _median_report(reports: Sequence[MetricsReport]) -> MetricsReport:
         for f in fields(MetricsReport) if f.name != "n"})
 
 
-def _score(frame: ModelFrame, actual: Sequence[float], model: str,
-           seeds: Sequence[int], ann_config: AnnConfig) -> MetricsReport:
-    """Score one model on a frame against the raw efforts."""
-    if model == "regression":
-        fit = fit_ols(frame)
-        with np.errstate(over="ignore"):  # evaluate names an infinity
-            predicted = np.exp(frame.matrix @ fit.coefficients)
-        return evaluate(actual, predicted.tolist())
-    reports = [evaluate(actual, predict_frame(net, frame).tolist())
-               for net, _ in train_seeds(frame, ann_config, seeds)]
-    return _median_report(reports)
+def _regression_report(frame: ModelFrame,
+                       actual: Sequence[float]) -> MetricsReport:
+    """Score the regression fitted on a frame against the raw efforts."""
+    fit = fit_ols(frame)
+    with np.errstate(over="ignore"):  # evaluate names an infinity
+        predicted = np.exp(frame.matrix @ fit.coefficients)
+    return evaluate(actual, predicted.tolist())
+
+
+def _ann_report(frame: ModelFrame, actual: Sequence[float],
+                nets: Sequence[AnnModel]) -> MetricsReport:
+    """The per-metric median over the networks trained on a frame."""
+    return _median_report([evaluate(actual, predicted.tolist())
+                           for predicted in _predict_frame(nets, frame)])
 
 
 def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
@@ -96,8 +101,12 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
     """Score one scenario/model cell on raw effort over all records."""
     if model not in MODEL_NAMES:
         raise DomainError(f"unknown model {model!r}")
-    return _score(build_frame(records, scenario.features),
-                  _columns_of(records)["effort"], model, seeds, ann_config)
+    frame = build_frame(records, scenario.features)
+    actual = _columns_of(records)["effort"]
+    if model == "regression":
+        return _regression_report(frame, actual)
+    return _ann_report(frame, actual, [
+        net for net, _ in train_seeds(frame, ann_config, seeds)])
 
 
 def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
@@ -117,14 +126,28 @@ def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
     scens = scenarios()
     full = build_frame(records, FULL_MODEL)
     actual = _columns_of(records)["effort"]
-    cells: dict[tuple[str, str], MetricsReport] = {}
-    for scen in scens:  # each subset equals the scenario's own frame
-        frame = _subset(full, [full.columns.index(c)
-                               for c in _design_columns(scen.features)])
-        for m in models:
-            cells[(scen.name, m)] = _score(frame, actual, m, seeds,
-                                           ann_config)
     uses_ann = "ann" in models
+    # each subset equals the scenario's own frame; the networks train on
+    # all of them at once, the regression on one at a time, since on
+    # large data they add up
+    frames: Sequence[ModelFrame] | Iterator[ModelFrame] = (
+        _subset(full, [full.columns.index(c)
+                       for c in _design_columns(scen.features)])
+        for scen in scens)
+    if uses_ann:
+        frames = list(frames)
+    cells: dict[tuple[str, str], MetricsReport] = {}
+    nets: list[list[AnnModel]] = []
+    for i, (scen, frame) in enumerate(zip(scens, frames)):
+        for m in models:
+            if m == "regression":
+                cells[(scen.name, m)] = _regression_report(frame, actual)
+                continue
+            # trained at the first ann cell, so that on too few records
+            # the error of the full regression cell still comes first
+            nets = nets or [[net for net, _ in trained] for trained
+                            in _train_frames(frames, ann_config, seeds)]
+            cells[(scen.name, m)] = _ann_report(frame, actual, nets[i])
     return AblationTable(
         scenarios=scens,
         models=models,

@@ -16,16 +16,20 @@ that backpropagation reuses at the accepted step. The output layer runs
 per block, since a matrix-vector product's rounding depends on its row
 count and one product over all rows would change the trained weights.
 
-The seeds of one frame train in lockstep, up to _SEED_BLOCK at a time.
-Each live seed has exactly one pending trial, its current line-search
-step or the first step of its next iteration, so a round is one
-_evaluate over the stacked trials, each seed's own Armijo test, and one
-_backprop over the seeds that accepted. Step, slope, restarts, patience
-and stopping stay per seed; a seed that stops leaves the stacks. The
-bits are those of the seed trained alone: a stacked np.matmul makes the
-2-D product's BLAS call slice by slice, numpy computes a per-seed
-(1, P) @ (P, 1) product as the 1-D dot, and each sum reduces the same
-axis of each slice. np.einsum and reordered sums round differently.
+Networks train in lockstep, up to _SEED_BLOCK at a time. A job is one
+(frame, seed) pair, and the jobs of frames with the same row and
+predictor counts (so networks of one shape) share blocks, whichever
+frame they came from. Each live job has exactly one pending trial, its
+current line-search step or the first step of its next iteration, so a
+round is one _evaluate over the stacked trials, each job's own Armijo
+test, and one _backprop over the jobs that accepted. Step, slope,
+restarts, patience and stopping stay per job; a job that stops leaves
+the stacks. The bits are those of the job trained alone: a stacked
+np.matmul makes the 2-D product's BLAS call slice by slice, numpy
+computes a per-job (1, P) @ (P, 1) product as the 1-D dot, and each sum
+reduces the same axis of each slice. np.einsum and reordered sums round
+differently. Predictions stack the same way: one forward pass scores
+up to _SEED_BLOCK networks trained on a frame.
 
 The kernels are tuned for small arrays but stay bit-identical to the
 reference formulas; tests/test_ann.py and tests/golden/ pin them.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,8 +61,10 @@ CONVERGENCE_TOLERANCE = 1e-5
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
 
-# Seeds stacked in one lockstep block. The cost per training is flat from
-# 20 seeds up, so larger blocks would only hold more memory.
+# Jobs stacked in one lockstep block, and networks in one scoring pass.
+# The cost per training is flat from 20 jobs up, so larger blocks would
+# only hold more memory; 64 holds the three five-input scenarios of a
+# 20-seed ablation in one block.
 _SEED_BLOCK = 64
 
 
@@ -109,12 +115,16 @@ def _init_network(n_inputs: int, hidden_nodes: int,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic of z, written over z and returned."""
     # e = exp(-|z|) cannot overflow: 1/(1+e) for z >= 0, e/(1+e) below;
-    # e <= 1, so the maximum picks 1.0 or e exactly, without a branch
-    e = np.exp(-np.abs(z))
-    out = np.maximum(e, (z >= 0).astype(float))
-    out /= 1.0 + e
-    return out
+    # e <= 1, so the maximum picks 1.0 or e exactly, without a branch.
+    # In place, a stack of networks makes one temporary the size of z,
+    # not six: freeing several can hand the heap back to the system, and
+    # the next round would fault its pages in again.
+    numerator = (z >= 0).astype(float)
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    np.maximum(e, numerator, out=numerator)
+    return np.divide(numerator, np.add(e, 1.0, out=e), out=e)
 
 
 # The kernels take one network's parameters (P,) with inputs (n, d), or a
@@ -224,16 +234,38 @@ def train_seeds(frame: ModelFrame, config: AnnConfig, seeds: Sequence[int]
     """What train gives for each seed, in the order of the seeds. The
     config and every seed are checked before any training; the seeds
     then train in lockstep, a block at a time."""
+    return _train_frames([frame], config, seeds)[0]
+
+
+def _train_frames(frames: Sequence[ModelFrame], config: AnnConfig,
+                  seeds: Sequence[int]
+                  ) -> list[list[tuple[AnnModel, TrainingTrace]]]:
+    """What train_seeds gives for each frame, in the order of the frames.
+
+    The config, every seed and then every frame are checked before any
+    training. A job is one (frame, seed) pair; the jobs of frames with
+    the same row and predictor counts train in lockstep, a block at a
+    time, frame by frame and seed by seed.
+    """
     check_config(config, seeds)
-    feature_columns = frame.predictor_columns()
-    if not feature_columns:
-        raise DomainError("frame has no predictor columns")
-    n = len(frame.response)
-    if n < 10:
-        raise InsufficientDataError(f"need at least 10 records, got {n}")
-    return [trained for i in range(0, len(seeds), _SEED_BLOCK)
-            for trained in _train_block(frame, feature_columns, config,
-                                        seeds[i:i + _SEED_BLOCK])]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, frame in enumerate(frames):
+        width = len(frame.predictor_columns())
+        if not width:
+            raise DomainError("frame has no predictor columns")
+        n = len(frame.response)
+        if n < 10:
+            raise InsufficientDataError(f"need at least 10 records, got {n}")
+        groups.setdefault((n, width), []).extend((i, seed) for seed in seeds)
+    trained: list[list[tuple[AnnModel, TrainingTrace]]] = [[] for _ in frames]
+    for jobs in groups.values():
+        for b in range(0, len(jobs), _SEED_BLOCK):
+            block = jobs[b:b + _SEED_BLOCK]
+            results = _train_block([(frames[i], seed) for i, seed in block],
+                                   config)
+            for (i, _), result in zip(block, results):
+                trained[i].append(result)
+    return trained
 
 
 @dataclass(slots=True, eq=False)
@@ -254,28 +286,29 @@ class _Run:
     stop: str = ""
 
 
-def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
-                 config: AnnConfig, seeds: Sequence[int]
+def _train_block(jobs: Sequence[tuple[ModelFrame, int]], config: AnnConfig
                  ) -> list[tuple[AnnModel, TrainingTrace]]:
-    """Train one network per seed on the same frame, all together."""
-    keep = [frame.columns.index(c) for c in feature_columns]
-    X_all, y_all = frame.matrix[:, keep], frame.response
-    (n, d), S = X_all.shape, len(seeds)
+    """Train one network per (frame, seed) job, all together; the frames
+    have the same row and predictor counts."""
+    first = jobs[0][0]
+    n, d, S = len(first.response), len(first.predictor_columns()), len(jobs)
     h = config.hidden_nodes if config.hidden_nodes is not None else d
     k = max(1, round(HOLDOUT_FRACTION * n))
     n_train = n - k
     n_params = parameter_count(d, h)
     Z, Y, W = np.empty((S, n, d)), np.empty((S, n)), np.empty((S, n_params))
-    scales = []
-    for i, seed in enumerate(seeds):
+    inputs = []  # each job's feature columns, input mean and input sd
+    for i, (frame, seed) in enumerate(jobs):
+        columns = frame.predictor_columns()
+        X_all = frame.matrix[:, [frame.columns.index(c) for c in columns]]
         order = np.random.default_rng(seed).permutation(n)
         holdout_idx, train_idx = np.sort(order[:k]), np.sort(order[k:])
         mean, sd = _standardize(X_all[train_idx])
-        scales.append((mean, sd))
+        inputs.append((columns, mean, sd))
         # training rows first, then holdout rows: one hidden pass covers both
         fit_idx = np.concatenate([train_idx, holdout_idx])
         Z[i] = (X_all[fit_idx] - mean) / sd
-        Y[i] = y_all[fit_idx]
+        Y[i] = frame.response[fit_idx]
         W[i] = _init_network(d, h, seed)
 
     loss, hold, A, R = _evaluate(W, Z, Y, n_train, h)
@@ -352,19 +385,36 @@ def _train_block(frame: ModelFrame, feature_columns: tuple[str, ...],
         D_go = -G_go + np.array(betas)[:, None] * D[rows]
         W[rows], D[rows], G[rows] = T_go, D_go, G_go
     return [(AnnModel(weights=run.best_w, hidden_nodes=h,
-                      feature_columns=feature_columns, input_mean=mean,
+                      feature_columns=columns, input_mean=mean,
                       input_sd=sd, config=config, seed=seed),
              TrainingTrace(iterations=run.iterations, stop_reason=run.stop,
                            train_sse=tuple(run.train_hist),
                            holdout_sse=tuple(run.hold_hist),
                            best_holdout_sse=run.best,
                            best_iteration=run.best_iter))
-            for run, (mean, sd), seed in zip(runs, scales, seeds)]
+            for run, (columns, mean, sd), (_, seed)
+            in zip(runs, inputs, jobs)]
 
 
 def predict_frame(model: AnnModel, frame: ModelFrame) -> np.ndarray:
     """Raw effort predictions for every row of a frame."""
-    keep = [frame.columns.index(c) for c in model.feature_columns]
-    Z = (frame.matrix[:, keep] - model.input_mean) / model.input_sd
-    with np.errstate(over="ignore"):  # evaluate names an infinity
-        return np.exp(forward(model.weights, Z, model.hidden_nodes))
+    return next(_predict_frame([model], frame))
+
+
+def _predict_frame(models: Sequence[AnnModel], frame: ModelFrame
+                   ) -> Iterator[np.ndarray]:
+    """predict_frame of each network, in order, from one stacked forward
+    pass per _SEED_BLOCK networks; the networks share their feature
+    columns and hidden nodes."""
+    first = models[0]
+    keep = [frame.columns.index(c) for c in first.feature_columns]
+    X = frame.matrix[:, keep]
+    for b in range(0, len(models), _SEED_BLOCK):
+        block = models[b:b + _SEED_BLOCK]
+        mean = np.array([model.input_mean for model in block])[:, None]
+        sd = np.array([model.input_sd for model in block])[:, None]
+        weights = np.array([model.weights for model in block])
+        with np.errstate(over="ignore"):  # evaluate names an infinity
+            predicted = np.exp(forward(weights, (X - mean) / sd,
+                                       first.hidden_nodes))
+        yield from predicted

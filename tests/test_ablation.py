@@ -168,7 +168,7 @@ def test_ablation_builds_one_frame_and_subsets_it(source, complete_records,
     records = (complete_records if source == "bundled"
                else _generated_records())
     built, scored = [], []
-    build, score = el.ablation.build_frame, el.ablation._score
+    build, score = el.ablation.build_frame, el.ablation._regression_report
 
     def spy_build(*args, **kwargs):
         built.append(args[1:])
@@ -179,7 +179,7 @@ def test_ablation_builds_one_frame_and_subsets_it(source, complete_records,
         return score(frame, *args)
 
     monkeypatch.setattr(el.ablation, "build_frame", spy_build)
-    monkeypatch.setattr(el.ablation, "_score", spy_score)
+    monkeypatch.setattr(el.ablation, "_regression_report", spy_score)
     table = el.run_ablation(records, model="regression")
     assert built == [(el.regression.FULL_MODEL,)]
     for scen, frame in zip(el.scenarios(), list(scored), strict=True):
@@ -190,6 +190,13 @@ def test_ablation_builds_one_frame_and_subsets_it(source, complete_records,
         assert frame.response.tobytes() == fresh.response.tobytes()
         assert table.cell(scen.name, "regression") == el.run_scenario(
             records, scen, "regression")
+
+
+def test_full_regression_error_comes_before_the_networks(complete_records):
+    # the full regression cell is scored before any network trains, so on
+    # too few records for both models its error is the one raised
+    with pytest.raises(el.DomainError, match="need more rows than columns"):
+        el.run_ablation(complete_records[:5], model="both", seeds=[0])
 
 
 def test_ann_cells_match_single_runs(complete_records):

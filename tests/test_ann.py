@@ -148,12 +148,12 @@ def _assert_bitwise(actual, expected):
 def test_sigmoid_bitwise_matches_two_branch_reference():
     edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0,
                       5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8])
-    _assert_bitwise(_sigmoid(edges), _two_branch_sigmoid(edges))
+    _assert_bitwise(_sigmoid(edges.copy()), _two_branch_sigmoid(edges))
     rng = np.random.default_rng(2014)
     for scale in (1e-300, 1e-12, 1e-3, 0.1, 1.0, 4.0, 30.0, 300.0, 1e4):
         for shape in ((62, 7), (15, 3), (101,)):
             z = rng.normal(scale=scale, size=shape)
-            _assert_bitwise(_sigmoid(z), _two_branch_sigmoid(z))
+            _assert_bitwise(_sigmoid(z.copy()), _two_branch_sigmoid(z))
 
 
 def test_kernels_bitwise_match_references():
@@ -360,9 +360,9 @@ def test_batch_returns_results_in_the_order_of_the_seeds(full_frame):
 def test_seed_blocks_match_reference_loop(full_frame, monkeypatch):
     blocks = []
 
-    def recorded(frame, columns, config, seeds, _original=ann._train_block):
-        blocks.append(list(seeds))
-        return _original(frame, columns, config, seeds)
+    def recorded(jobs, config, _original=ann._train_block):
+        blocks.append([seed for _, seed in jobs])
+        return _original(jobs, config)
     monkeypatch.setattr(ann, "_SEED_BLOCK", 3)
     monkeypatch.setattr(ann, "_train_block", recorded)
     base = el.AnnConfig(hidden_nodes=3)
@@ -371,6 +371,82 @@ def test_seed_blocks_match_reference_loop(full_frame, monkeypatch):
     for seed, trained in enumerate(batch):
         _assert_matches(trained,
                         _reference_train(full_frame, base, seed))
+
+
+def test_block_of_several_frames_matches_reference_loop(complete_records,
+                                                         monkeypatch):
+    # no-env, no-texp and no-mexp have five inputs each, so their jobs
+    # share blocks; each job must keep the bits of its frame and seed
+    blocks = []
+
+    def recorded(jobs, config, _original=ann._train_block):
+        blocks.append([(frame.columns, seed) for frame, seed in jobs])
+        return _original(jobs, config)
+    monkeypatch.setattr(ann, "_SEED_BLOCK", 4)
+    monkeypatch.setattr(ann, "_train_block", recorded)
+    scens = el.scenarios()
+    frames = [el.build_frame(complete_records, scens[i].features)
+              for i in (1, 3, 4)]
+    seeds = [5, 2, 5]
+    base = el.AnnConfig(max_iterations=40)
+    trained = ann._train_frames(frames, base, seeds)
+    jobs = [(frame.columns, seed) for frame in frames for seed in seeds]
+    assert blocks == [jobs[:4], jobs[4:8], jobs[8:]]
+    assert blocks[0][2][0] != blocks[0][3][0]  # two frames in one block
+    for frame, results in zip(frames, trained, strict=True):
+        assert len(results) == len(seeds)
+        for seed, (model, trace) in zip(seeds, results):
+            _assert_matches((model, trace),
+                            _reference_train(frame, base, seed))
+            alone, _ = ann.train_seeds(frame, base, [seed])[0]
+            assert model.feature_columns == frame.predictor_columns()
+            _assert_bitwise(model.input_mean, alone.input_mean)
+            _assert_bitwise(model.input_sd, alone.input_sd)
+
+
+def test_ablation_trains_one_block_per_predictor_width(complete_records,
+                                                       monkeypatch):
+    events = []
+
+    def checked(*args, _original=ann.check_config):
+        events.append("check_config")
+        return _original(*args)
+
+    def recorded(jobs, config, _original=ann._train_block):
+        events.append([(len(frame.predictor_columns()), seed)
+                       for frame, seed in jobs])
+        return _original(jobs, config)
+    monkeypatch.setattr(ann, "check_config", checked)
+    monkeypatch.setattr(ann, "_train_block", recorded)
+    el.run_ablation(complete_records, model="both", seeds=[0, 1],
+                    ann_config=el.AnnConfig(max_iterations=3))
+    # full, then no-env with no-texp and no-mexp, no-language, size-only
+    assert events == ["check_config", [(6, 0), (6, 1)], [(5, 0), (5, 1)] * 3,
+                      [(4, 0), (4, 1)], [(1, 0), (1, 1)]]
+
+
+def test_scoring_stacks_at_most_a_block_of_networks(complete_records,
+                                                    full_frame, monkeypatch):
+    config = el.AnnConfig(max_iterations=20)
+    seeds = [0, 1, 2, 3, 4]
+    models = [model for model, _ in ann.train_seeds(full_frame, config,
+                                                    seeds)]
+    alone = [el.predict_frame(model, full_frame) for model in models]
+    table = el.run_ablation(complete_records, model="ann", seeds=seeds,
+                            ann_config=config)
+    stacks = []
+
+    def recorded(params, inputs, hidden_nodes, _original=ann.forward):
+        stacks.append(len(params))
+        return _original(params, inputs, hidden_nodes)
+    monkeypatch.setattr(ann, "_SEED_BLOCK", 2)
+    monkeypatch.setattr(ann, "forward", recorded)
+    for predicted, expected in zip(ann._predict_frame(models, full_frame),
+                                   alone, strict=True):
+        _assert_bitwise(predicted, expected)
+    assert stacks == [2, 2, 1]
+    assert el.run_ablation(complete_records, model="ann", seeds=seeds,
+                           ann_config=config).cells == table.cells
 
 
 def test_negative_seed_in_a_batch_raises_before_any_training(full_frame,

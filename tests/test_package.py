@@ -26,9 +26,10 @@ def test_all_lists_exactly_the_public_names():
 
 # Public functions that no command calls, each kept on purpose: the
 # stepwise search and its frame, the attribute ranking, the normality
-# test and a one-seed training.
-UNREACHED = {"build_candidate_frame", "normality_test", "rank_attributes",
-             "stepwise_select", "train"}
+# test, and a one-seed training and its predictions (the commands score
+# all of a cell's networks in one stacked pass).
+UNREACHED = {"build_candidate_frame", "normality_test", "predict_frame",
+             "rank_attributes", "stepwise_select", "train"}
 _COMMANDS = (["validate"], ["summarize"], ["fit"],
              ["fit", "--model", "ann", "--max-iter", "3"], ["metrics"],
              ["metrics", "--model", "ann", "--max-iter", "3"],
