@@ -9,12 +9,11 @@ removable attributes by how much their absence hurts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ann import (AnnConfig, AnnModel, _predict_frame, _train_frames,
-                  train_seeds)
+from .ann import AnnConfig, _predict_frame, _train_frames
 # train is not called here, but stays bound: perfbench/spans.py wraps
 # effortlab.ablation.train
 from .ann import train  # noqa: F401
@@ -88,11 +87,43 @@ def _regression_report(frame: ModelFrame,
     return evaluate(actual, predicted.tolist())
 
 
-def _ann_report(frame: ModelFrame, actual: Sequence[float],
-                nets: Sequence[AnnModel]) -> MetricsReport:
-    """The per-metric median over the networks trained on a frame."""
-    return _median_report([evaluate(actual, predicted.tolist())
-                           for predicted in _predict_frame(nets, frame)])
+def _score_cells(records: Sequence[ProjectRecord],
+                 scens: Sequence[Scenario], models: Sequence[str],
+                 seeds: Sequence[int], ann_config: AnnConfig
+                 ) -> dict[tuple[str, str], MetricsReport]:
+    """Each scenario/model cell on raw effort over all records, in
+    scenario x model order; an ann cell is the per-metric median over the
+    networks of the seeds.
+
+    One frame holds every scenario's terms, and each scenario's frame is
+    a column subset of it, equal to the scenario's own frame. The
+    regression cells come first, one subset at a time, since on large
+    data the subsets add up; then the networks of every scenario train
+    together.
+    """
+    full = build_frame(records, tuple(dict.fromkeys(
+        term for scen in scens for term in scen.features)))
+    actual = _columns_of(records)["effort"]
+
+    def frame_of(scen: Scenario) -> ModelFrame:
+        return _subset(full, [full.columns.index(c)
+                              for c in _design_columns(scen.features)])
+
+    cells: dict[tuple[str, str], MetricsReport] = {}
+    if "regression" in models:
+        for scen in scens:
+            cells[(scen.name, "regression")] = _regression_report(
+                frame_of(scen), actual)
+    if "ann" in models:
+        frames = list(map(frame_of, scens))
+        for scen, frame, trained in zip(
+                scens, frames, _train_frames(frames, ann_config, seeds)):
+            nets = [net for net, _ in trained]
+            cells[(scen.name, "ann")] = _median_report([
+                evaluate(actual, predicted.tolist())
+                for predicted in _predict_frame(nets, frame)])
+    return {(scen.name, m): cells[(scen.name, m)]
+            for scen in scens for m in models}
 
 
 def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
@@ -101,12 +132,8 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
     """Score one scenario/model cell on raw effort over all records."""
     if model not in MODEL_NAMES:
         raise DomainError(f"unknown model {model!r}")
-    frame = build_frame(records, scenario.features)
-    actual = _columns_of(records)["effort"]
-    if model == "regression":
-        return _regression_report(frame, actual)
-    return _ann_report(frame, actual, [
-        net for net, _ in train_seeds(frame, ann_config, seeds)])
+    return _score_cells(records, (scenario,), (model,), seeds,
+                        ann_config)[(scenario.name, model)]
 
 
 def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
@@ -124,34 +151,11 @@ def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
     else:
         raise DomainError(f"model must be one of {MODEL_NAMES + ('both',)}")
     scens = scenarios()
-    full = build_frame(records, FULL_MODEL)
-    actual = _columns_of(records)["effort"]
     uses_ann = "ann" in models
-    # each subset equals the scenario's own frame; the networks train on
-    # all of them at once, the regression on one at a time, since on
-    # large data they add up
-    frames: Sequence[ModelFrame] | Iterator[ModelFrame] = (
-        _subset(full, [full.columns.index(c)
-                       for c in _design_columns(scen.features)])
-        for scen in scens)
-    if uses_ann:
-        frames = list(frames)
-    cells: dict[tuple[str, str], MetricsReport] = {}
-    nets: list[list[AnnModel]] = []
-    for i, (scen, frame) in enumerate(zip(scens, frames)):
-        for m in models:
-            if m == "regression":
-                cells[(scen.name, m)] = _regression_report(frame, actual)
-                continue
-            # trained at the first ann cell, so that on too few records
-            # the error of the full regression cell still comes first
-            nets = nets or [[net for net, _ in trained] for trained
-                            in _train_frames(frames, ann_config, seeds)]
-            cells[(scen.name, m)] = _ann_report(frame, actual, nets[i])
     return AblationTable(
         scenarios=scens,
         models=models,
-        cells=cells,
+        cells=_score_cells(records, scens, models, seeds, ann_config),
         n=len(records),
         seeds=tuple(seeds) if uses_ann else (),
         ann_config=ann_config if uses_ann else None,

@@ -226,21 +226,15 @@ def train(frame: ModelFrame, config: AnnConfig = AnnConfig(),
     Returns the weights with the best holdout error seen, not the last
     iterate.
     """
-    return train_seeds(frame, config, [seed])[0]
-
-
-def train_seeds(frame: ModelFrame, config: AnnConfig, seeds: Sequence[int]
-                ) -> list[tuple[AnnModel, TrainingTrace]]:
-    """What train gives for each seed, in the order of the seeds. The
-    config and every seed are checked before any training; the seeds
-    then train in lockstep, a block at a time."""
-    return _train_frames([frame], config, seeds)[0]
+    return _train_frames([frame], config, [seed])[0][0]
 
 
 def _train_frames(frames: Sequence[ModelFrame], config: AnnConfig,
                   seeds: Sequence[int]
                   ) -> list[list[tuple[AnnModel, TrainingTrace]]]:
-    """What train_seeds gives for each frame, in the order of the frames.
+    """What train gives for each frame and seed: one list per frame, in
+    the order of the frames, of one result per seed, in the order of the
+    seeds.
 
     The config, every seed and then every frame are checked before any
     training. A job is one (frame, seed) pair; the jobs of frames with

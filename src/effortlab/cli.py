@@ -180,10 +180,6 @@ def _metric_values(report: MetricsReport) -> list:
     return [getattr(report, c.key) for c in _METRIC_COLUMNS]
 
 
-def _metrics_body(values: Sequence) -> dict:
-    return dict(zip((c.key for c in _METRIC_COLUMNS), values))
-
-
 def _ablation_report(table: AblationTable) -> _Report:
     from . import ann
 
@@ -208,8 +204,8 @@ def _ablation_report(table: AblationTable) -> _Report:
         "ann_config": (None if config is None
                        else {**asdict(config), **settings}),
         "cells": [{"scenario": scenario, "model": model,
-                   "metrics": _metrics_body(values)}
-                  for scenario, model, *values in rows],
+                   "metrics": asdict(table.cell(scenario, model))}
+                  for scenario, model, *_ in rows],
     }
     return _Report(
         "ablation", "Attribute ablation", [("Records", None, table.n)],
@@ -251,7 +247,7 @@ def _metrics_report(report: MetricsReport) -> _Report:
     values = _metric_values(report)
     return _Report("metrics", "Accuracy metrics",
                    [("Records", None, report.n)], _METRIC_COLUMNS,
-                   [values], _metrics_body(values))
+                   [values], asdict(report))
 
 
 def _build(report) -> _Report:

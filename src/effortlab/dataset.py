@@ -71,9 +71,6 @@ class RawRecord(NamedTuple):
     points_adjust: float | None = None
     language: int | None = None
 
-    def is_complete(self) -> bool:
-        return None not in self
-
 
 class ProjectRecord(NamedTuple):
     """One complete project row."""
@@ -333,7 +330,9 @@ def _decode(data: bytes, digest) -> str:
 
 
 def load_dataset(path: str, digest=None) -> Sequence[RawRecord]:
-    """Parse a dataset file, picking the format from its content.
+    """Parse a dataset file, picking the format from its content: the
+    ARFF-like format when its first non-blank character is `@` or `%`,
+    CSV otherwise.
 
     The file is read once, as UTF-8 with an optional byte-order mark. A
     hashlib object passed as `digest` is updated with exactly the bytes
@@ -341,7 +340,7 @@ def load_dataset(path: str, digest=None) -> Sequence[RawRecord]:
     """
     with open(path, "rb") as fh:
         text = _decode(fh.read(), digest)
-    fmt = "arff-like" if text[:1] in ("@", "%") else "csv"
+    fmt = "arff-like" if text.lstrip()[:1] in ("@", "%") else "csv"
     return parse_dataset(io.StringIO(text, newline=None), format=fmt)
 
 

@@ -45,14 +45,13 @@ def _checked(actual: Iterable[float],
     return actual, predicted
 
 
-def _scores(actual: Iterable[float], predicted: Iterable[float],
-            need_r_squared: bool = True) -> MetricsReport:
-    """The five criteria in one pass.
+def evaluate(actual: Iterable[float],
+             predicted: Iterable[float]) -> MetricsReport:
+    """Compute all five criteria over one set of pairs, in one pass.
 
-    Actuals without variation leave R-squared undefined: that raises
-    when `need_r_squared` is set, and is NaN otherwise. Any other
-    criterion beyond the float range raises, whichever one the caller
-    wants.
+    Actuals without variation leave R-squared undefined, so they raise
+    DegenerateInputError; any criterion beyond the float range raises
+    DomainError.
     """
     actual, predicted = _checked(actual, predicted)
     n = len(actual)
@@ -66,8 +65,7 @@ def _scores(actual: Iterable[float], predicted: Iterable[float],
         sse = sst = math.inf
     # on the values: a rounded mean leaves a constant sample a tiny sst,
     # and squares that underflow leave a varying sample none
-    defined = min(actual) != max(actual) and sst > 0.0
-    if need_r_squared and not defined:
+    if min(actual) == max(actual) or not sst > 0.0:
         why = ("are constant" if min(actual) == max(actual)
                else "vary too little")
         raise DegenerateInputError(f"actuals {why}; r_squared is undefined")
@@ -76,21 +74,10 @@ def _scores(actual: Iterable[float], predicted: Iterable[float],
         pred_25=sum(1 for m in mres if m <= PRED_LEVEL) / n,
         rmse=math.sqrt(sse / n),
         mean_error=sum(errors) / n,
-        r_squared=1.0 - sse / sst if defined else math.nan,
+        r_squared=1.0 - sse / sst,
         n=n,
     )
-    if not (all(map(math.isfinite, (report.mmre, report.rmse,
-                                    report.mean_error)))
-            and (not defined or math.isfinite(report.r_squared))):
+    if not all(map(math.isfinite, (report.mmre, report.rmse,
+                                   report.mean_error, report.r_squared))):
         raise DomainError("accuracy criteria overflow the float range")
     return report
-
-
-def evaluate(actual: Iterable[float],
-             predicted: Iterable[float]) -> MetricsReport:
-    """Compute all five criteria over one set of pairs.
-
-    Actuals without variation leave R-squared undefined, so they raise
-    DegenerateInputError.
-    """
-    return _scores(actual, predicted)

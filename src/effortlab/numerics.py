@@ -1,7 +1,7 @@
 """Self-contained numerical kernel.
 
-Dense least squares via Householder QR, log-gamma, the regularized
-incomplete beta function, Student-t and F tail probabilities, and an
+Dense least squares via Householder QR, the regularized incomplete
+beta function, Student-t and F tail probabilities, and an
 Anderson-Darling normality test. Nothing here knows about projects or
 effort; the regression layer builds on these primitives.
 """
@@ -88,13 +88,6 @@ def _back_substitute(R: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) by the continued-fraction expansion (Lentz's method)."""
     if a <= 0 or b <= 0:
@@ -105,7 +98,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (_ln_gamma(a + b) - _ln_gamma(a) - _ln_gamma(b)
+    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                 + a * math.log(x) + b * math.log1p(-x))
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):

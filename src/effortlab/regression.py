@@ -90,23 +90,12 @@ class StepwiseTrace:
     fit: RegressionFit
 
 
-def _encode_language(code: int) -> tuple[int, int]:
-    """Two dummies for the three language categories; 4GL is the baseline."""
-    if code == 1:
-        return 1, 0
-    if code == 2:
-        return 0, 1
-    if code == 3:
-        return 0, 0
-    raise DomainError(f"language code must be 1, 2 or 3, got {code}")
-
-
 _LN_SOURCES = {"ln_size": "points_non_adjust",
                "ln_transactions": "transactions", "ln_entities": "entities",
                "ln_effort": "effort"}
-_DUMMIES = {name: {code: float(_encode_language(code)[k])
-                   for code in (1, 2, 3)}
-            for k, name in enumerate(TERMS["language"])}
+# Two dummies for the three language codes; 4GL (3) is the baseline.
+_DUMMIES = {"lang_1": {1: 1.0, 2: 0.0, 3: 0.0},
+            "lang_2": {1: 0.0, 2: 1.0, 3: 0.0}}
 _PLAIN = ("team_exp", "manager_exp", "envergure")
 
 
@@ -131,9 +120,9 @@ def _column(name: str, fields: dict[str, Sequence]):
     if name in _DUMMIES:
         try:
             return list(map(_DUMMIES[name].__getitem__, fields["language"]))
-        except KeyError as exc:
-            _encode_language(exc.args[0])  # the first bad code; raises
-            raise
+        except KeyError as exc:  # the first bad code
+            raise DomainError("language code must be 1, 2 or 3, got "
+                              f"{exc.args[0]}") from None
     if name in _PLAIN:
         return fields[name]
     raise DomainError(f"unknown design column {name!r}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import effortlab as el
+from effortlab import ablation, ann, regression
 
 
 def test_scenario_order_and_removals():
@@ -26,7 +27,7 @@ def test_every_scenario_keeps_size():
 
 
 def test_scenario_features_are_the_full_model_less_the_removed_term():
-    full = el.regression.FULL_MODEL
+    full = regression.FULL_MODEL
     *removals, size_only = el.scenarios()
     for scen in removals:
         assert scen.features == tuple(t for t in full if t != scen.removed)
@@ -58,7 +59,9 @@ def test_cells_cover_all_records(complete_records):
 def test_both_models_give_twelve_cells(complete_records):
     table = el.run_ablation(complete_records, model="both", seeds=[0],
                             ann_config=el.AnnConfig(max_iterations=20))
-    assert len(table.cells) == 12
+    assert list(table.cells) == [(scen.name, model)
+                                 for scen in el.scenarios()
+                                 for model in ("regression", "ann")]
     assert table.models == ("regression", "ann")
     assert table.seeds == (0,)
     assert table.ann_config.max_iterations == 20
@@ -168,7 +171,7 @@ def test_ablation_builds_one_frame_and_subsets_it(source, complete_records,
     records = (complete_records if source == "bundled"
                else _generated_records())
     built, scored = [], []
-    build, score = el.ablation.build_frame, el.ablation._regression_report
+    build, score = ablation.build_frame, ablation._regression_report
 
     def spy_build(*args, **kwargs):
         built.append(args[1:])
@@ -178,10 +181,10 @@ def test_ablation_builds_one_frame_and_subsets_it(source, complete_records,
         scored.append(frame)
         return score(frame, *args)
 
-    monkeypatch.setattr(el.ablation, "build_frame", spy_build)
-    monkeypatch.setattr(el.ablation, "_regression_report", spy_score)
+    monkeypatch.setattr(ablation, "build_frame", spy_build)
+    monkeypatch.setattr(ablation, "_regression_report", spy_score)
     table = el.run_ablation(records, model="regression")
-    assert built == [(el.regression.FULL_MODEL,)]
+    assert built == [(regression.FULL_MODEL,)]
     for scen, frame in zip(el.scenarios(), list(scored), strict=True):
         fresh = build(records, scen.features)
         assert frame.matrix.flags.c_contiguous
@@ -206,3 +209,29 @@ def test_ann_cells_match_single_runs(complete_records):
     for scen in el.scenarios():
         assert table.cell(scen.name, "ann") == el.run_scenario(
             complete_records, scen, "ann", seeds=[0, 1], ann_config=config)
+
+
+def test_scenario_outside_the_full_model_scores_its_own_frame(
+        complete_records):
+    terms = ("ln_transactions", "ln_entities")
+    frame = el.build_frame(complete_records, terms)
+    predicted = np.exp(frame.matrix @ el.fit_ols(frame).coefficients)
+    expected = el.evaluate([r.effort for r in complete_records], predicted)
+    assert el.run_scenario(complete_records, el.Scenario("sizes", terms, None),
+                           "regression") == expected
+
+
+def test_ann_cell_is_the_median_over_the_trained_networks(complete_records):
+    scen = el.scenarios()[1]
+    config = el.AnnConfig(max_iterations=3)
+    seeds = [4, 1, 7]
+    frame = el.build_frame(complete_records, scen.features)
+    actual = [r.effort for r in complete_records]
+    reports = [el.evaluate(actual, el.predict_frame(model, frame))
+               for model, _ in ann._train_frames([frame], config, seeds)[0]]
+    cell = el.run_scenario(complete_records, scen, "ann", seeds=seeds,
+                           ann_config=config)
+    for field in ("mmre", "pred_25", "rmse", "mean_error", "r_squared"):
+        assert getattr(cell, field) == float(np.median(
+            [getattr(r, field) for r in reports])), field
+    assert cell.n == 77

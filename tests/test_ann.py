@@ -291,7 +291,7 @@ def test_training_bitwise_matches_reference_loop(complete_records):
                       el.build_frame(records, ["ln_size"])):
             for hidden in (None, 1, 8, 12, 30):
                 base = el.AnnConfig(hidden_nodes=hidden)
-                batch = list(ann.train_seeds(frame, base, range(10)))
+                batch = ann._train_frames([frame], base, range(10))[0]
                 for seed, trained in enumerate(batch):
                     expected = _reference_train(frame, base, seed)
                     _assert_matches(el.train(frame, base, seed), expected)
@@ -316,7 +316,7 @@ def test_batch_with_mixed_stops_matches_reference_loop(
     for name, value in constants.items():
         monkeypatch.setattr(ann, name, value)
     base = el.AnnConfig(**overrides)
-    batch = list(ann.train_seeds(full_frame, base, range(10)))
+    batch = ann._train_frames([full_frame], base, range(10))[0]
     assert {trace.stop_reason for _, trace in batch} == reasons
     for seed, trained in enumerate(batch):
         _assert_matches(trained,
@@ -338,7 +338,7 @@ def test_batch_keeps_initial_weights_that_stay_best():
             entities=100, points_non_adjust=size, envergure=20,
             points_adjust=size * 0.85, language=1))
     frame = el.build_frame(records, ["ln_size"])
-    batch = list(ann.train_seeds(frame, el.AnnConfig(), range(10)))
+    batch = ann._train_frames([frame], el.AnnConfig(), range(10))[0]
     assert any(trace.best_iteration == 0 and trace.iterations > 0
                for _, trace in batch)
     for seed, trained in enumerate(batch):
@@ -349,7 +349,7 @@ def test_batch_keeps_initial_weights_that_stay_best():
 def test_batch_returns_results_in_the_order_of_the_seeds(full_frame):
     seeds = [7, 3, 7, 12, 0, 3]  # duplicates, gaps, not sorted
     base = el.AnnConfig(hidden_nodes=4)
-    batch = list(ann.train_seeds(full_frame, base, seeds))
+    batch = ann._train_frames([full_frame], base, seeds)[0]
     assert [(model.config, model.seed) for model, _ in batch] == [
         (base, seed) for seed in seeds]
     for seed, trained in zip(seeds, batch):
@@ -366,7 +366,7 @@ def test_seed_blocks_match_reference_loop(full_frame, monkeypatch):
     monkeypatch.setattr(ann, "_SEED_BLOCK", 3)
     monkeypatch.setattr(ann, "_train_block", recorded)
     base = el.AnnConfig(hidden_nodes=3)
-    batch = list(ann.train_seeds(full_frame, base, range(7)))
+    batch = ann._train_frames([full_frame], base, range(7))[0]
     assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
     for seed, trained in enumerate(batch):
         _assert_matches(trained,
@@ -398,7 +398,7 @@ def test_block_of_several_frames_matches_reference_loop(complete_records,
         for seed, (model, trace) in zip(seeds, results):
             _assert_matches((model, trace),
                             _reference_train(frame, base, seed))
-            alone, _ = ann.train_seeds(frame, base, [seed])[0]
+            alone, _ = ann._train_frames([frame], base, [seed])[0][0]
             assert model.feature_columns == frame.predictor_columns()
             _assert_bitwise(model.input_mean, alone.input_mean)
             _assert_bitwise(model.input_sd, alone.input_sd)
@@ -429,8 +429,8 @@ def test_scoring_stacks_at_most_a_block_of_networks(complete_records,
                                                     full_frame, monkeypatch):
     config = el.AnnConfig(max_iterations=20)
     seeds = [0, 1, 2, 3, 4]
-    models = [model for model, _ in ann.train_seeds(full_frame, config,
-                                                    seeds)]
+    models = [model for model, _ in ann._train_frames(
+        [full_frame], config, seeds)[0]]
     alone = [el.predict_frame(model, full_frame) for model in models]
     table = el.run_ablation(complete_records, model="ann", seeds=seeds,
                             ann_config=config)
@@ -458,7 +458,7 @@ def test_negative_seed_in_a_batch_raises_before_any_training(full_frame,
     for seeds, message in (([0, 1, 2, -1, 4], "^seed must be >= 0$"),
                            ([], "^need at least one seed$")):
         with pytest.raises(el.DomainError, match=message):
-            list(ann.train_seeds(full_frame, el.AnnConfig(), seeds))
+            ann._train_frames([full_frame], el.AnnConfig(), seeds)
     assert calls == []
 
 

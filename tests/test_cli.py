@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import effortlab as el
-from effortlab import cli
+from effortlab import ablation, cli
 from effortlab.cli import run
 from effortlab.dataset import bundled_dataset_path
 
@@ -69,6 +69,17 @@ def test_unknown_features_is_usage_error(capsys):
 
 def test_features_choices_are_the_scenario_names():
     assert list(cli._SCENARIO_NAMES) == [s.name for s in el.scenarios()]
+
+
+def test_model_choices_are_the_model_names():
+    # the parser states them so that it loads no numpy
+    models = ablation.MODEL_NAMES
+    for name, (_, model) in cli._COMMANDS.items():
+        if model is not None:
+            choices, default = model
+            extra = ("both",) if name == "ablate" else ()
+            assert choices == models + extra, name
+            assert default in choices, name
 
 
 def test_unreadable_dataset_is_data_error(capsys, tmp_path):

@@ -28,7 +28,7 @@ def test_bundled_counts(raw_records, complete_records):
 
 
 def test_incomplete_rows_are_kept_in_raw_form(raw_records):
-    incomplete = [r for r in raw_records if not r.is_complete()]
+    incomplete = [r for r in raw_records if None in r]
     assert sorted(r.project_id for r in incomplete) == [38, 44, 65, 75]
 
 
@@ -48,7 +48,7 @@ def test_both_missing_markers_accepted():
     records = _parse(f"{HEADER}\n{body}\n")
     assert records[0].team_exp is None
     assert records[1].team_exp is None
-    assert not records[0].is_complete()
+    assert None in records[0]
 
 
 def test_missing_column_is_schema_error():
@@ -363,9 +363,17 @@ def test_arff_like_matches_csv(raw_records):
 def test_load_dataset_autodetects_arff(tmp_path, raw_records):
     attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
     rows = serialize_records(raw_records).splitlines()[1:]
+    text = f"@relation projects\n{attrs}\n@data\n" + "\n".join(rows)
     path = tmp_path / "projects.arff"
-    path.write_text(f"@relation projects\n{attrs}\n@data\n" + "\n".join(rows))
-    assert el.load_dataset(str(path)) == raw_records
+    # the format comes from the first non-blank character
+    for prefix in ("", "\n", "  \n% c\n"):
+        path.write_text(prefix + text)
+        assert el.load_dataset(str(path)) == raw_records
+        # physical row numbers still count the leading lines
+        path.write_text(prefix + text + "\n1,2")
+        row = len((prefix + text).splitlines()) + 1
+        with pytest.raises(el.ParseError, match=f"^row {row}: expected 12"):
+            el.load_dataset(str(path))
 
 
 def test_unknown_format_rejected():

@@ -9,7 +9,7 @@ import scipy.special
 import scipy.stats
 
 import effortlab as el
-from effortlab.numerics import (NormalityReport, _ln_gamma, f_upper_tail_p,
+from effortlab.numerics import (NormalityReport, f_upper_tail_p,
                                 regularized_incomplete_beta,
                                 solve_least_squares, t_two_sided_p)
 
@@ -77,28 +77,6 @@ class TestLeastSquares:
             solve_least_squares(np.ones((2, 3)), np.zeros(2))
 
 
-class TestLnGamma:
-    def test_matches_scipy_over_range(self):
-        # ln_gamma(1e6) is ~1.3e7, where 1e-10 lies below one ulp; hold
-        # the absolute bound where it is representable and a 2-ulp
-        # relative bound across the whole range.
-        for x in np.geomspace(0.5, 100.0, 100):
-            assert _ln_gamma(float(x)) == pytest.approx(
-                scipy.special.gammaln(x), abs=1e-10)
-        for x in np.geomspace(0.5, 1e6, 200):
-            assert _ln_gamma(float(x)) == pytest.approx(
-                scipy.special.gammaln(x), rel=5e-16, abs=1e-10)
-
-    def test_factorial_identity(self):
-        assert _ln_gamma(6.0) == pytest.approx(math.log(120.0))
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(el.DomainError):
-            _ln_gamma(0.0)
-        with pytest.raises(el.DomainError):
-            _ln_gamma(-1.5)
-
-
 class TestIncompleteBeta:
     def test_matches_scipy_on_grid(self):
         rng = np.random.default_rng(3)
@@ -143,7 +121,7 @@ class TestTailProbabilities:
     def test_t_matches_density_integration(self):
         # integrate the t density directly as a scipy-free cross-check
         t, df = 2.228, 10
-        const = math.exp(_ln_gamma((df + 1) / 2) - _ln_gamma(df / 2)) \
+        const = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) \
             / math.sqrt(df * math.pi)
         xs = np.linspace(-t, t, 200001)
         density = const * (1 + xs ** 2 / df) ** (-(df + 1) / 2)

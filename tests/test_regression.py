@@ -9,7 +9,7 @@ import scipy.stats
 
 import effortlab as el
 from effortlab import numerics
-from effortlab.regression import ALPHA, _encode_language
+from effortlab.regression import ALPHA
 
 
 def _record(**overrides):
@@ -22,14 +22,20 @@ def _record(**overrides):
 
 
 def test_encode_language():
-    assert _encode_language(1) == (1, 0)
-    assert _encode_language(2) == (0, 1)
-    assert _encode_language(3) == (0, 0)
+    # two dummies for the three language codes; 4GL (3) is the baseline
+    records = [_record(project_id=code, language=code) for code in (1, 2, 3)]
+    frame = el.build_frame(records, ["language"])
+    assert frame.columns[1:] == ("lang_1", "lang_2")
+    assert frame.matrix[:, 1:].tolist() == [[1.0, 0.0], [0.0, 1.0],
+                                            [0.0, 0.0]]
 
 
 def test_encode_language_rejects_unknown():
-    with pytest.raises(el.DomainError):
-        _encode_language(4)
+    records = [_record(project_id=1), _record(project_id=2, language=4),
+               _record(project_id=3, language=0)]
+    with pytest.raises(el.DomainError,
+                       match="^language code must be 1, 2 or 3, got 4$"):
+        el.build_frame(records, ["language"])
 
 
 def test_frame_column_order(full_frame):
@@ -44,7 +50,7 @@ def test_frame_content(complete_records, full_frame):
     row = full_frame.matrix[0]
     assert row[0] == 1.0
     assert row[1] == pytest.approx(math.log(rec.points_non_adjust))
-    assert tuple(row[2:4]) == _encode_language(rec.language)
+    assert tuple(row[2:4]) == {1: (1, 0), 2: (0, 1), 3: (0, 0)}[rec.language]
     assert row[4] == rec.team_exp
     assert full_frame.response[0] == pytest.approx(math.log(rec.effort))
     assert full_frame.project_ids[0] == rec.project_id
@@ -75,7 +81,7 @@ def _rowwise_frame(records, columns):
             attr = {"ln_size": "points_non_adjust"}.get(name, name[3:])
             return math.log(getattr(rec, attr))
         if name in ("lang_1", "lang_2"):
-            return float(_encode_language(rec.language)[int(name[-1]) - 1])
+            return float(rec.language == int(name[-1]))
         return float(getattr(rec, name))
 
     matrix = np.array([[cell(c, rec) for c in columns] for rec in records],
