@@ -25,7 +25,6 @@ _MODULES = {
                "EffortlabError", "InsufficientDataError", "ParseError",
                "SchemaError", "TransformError"),
     "metrics": ("MetricsReport", "evaluate"),
-    "numerics": ("NormalityReport", "normality_test"),
     "regression": ("ModelFrame", "RegressionFit", "StepwiseStep",
                    "StepwiseTrace", "build_candidate_frame", "build_frame",
                    "fit_ols", "stepwise_select", "vif"),

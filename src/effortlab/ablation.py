@@ -101,6 +101,11 @@ def _score_cells(records: Sequence[ProjectRecord],
     data the subsets add up; then the networks of every scenario train
     together.
     """
+    for model in models:
+        if model not in MODEL_NAMES:
+            raise DomainError(
+                f"unknown model {model!r}: a cell is 'regression' or 'ann', "
+                "and an ablation also takes 'both'")
     full = build_frame(records, tuple(dict.fromkeys(
         term for scen in scens for term in scen.features)))
     actual = _columns_of(records)["effort"]
@@ -130,8 +135,6 @@ def run_scenario(records: Sequence[ProjectRecord], scenario: Scenario,
                  model: str, seeds: Sequence[int] = (0,),
                  ann_config: AnnConfig = AnnConfig()) -> MetricsReport:
     """Score one scenario/model cell on raw effort over all records."""
-    if model not in MODEL_NAMES:
-        raise DomainError(f"unknown model {model!r}")
     return _score_cells(records, (scenario,), (model,), seeds,
                         ann_config)[(scenario.name, model)]
 
@@ -144,12 +147,7 @@ def run_ablation(records: Sequence[ProjectRecord], model: str = "both",
     Regression cells are deterministic; ann cells are the per-metric
     median over the given seeds.
     """
-    if model == "both":
-        models = MODEL_NAMES
-    elif model in MODEL_NAMES:
-        models = (model,)
-    else:
-        raise DomainError(f"model must be one of {MODEL_NAMES + ('both',)}")
+    models = MODEL_NAMES if model == "both" else (model,)
     scens = scenarios()
     uses_ann = "ann" in models
     return AblationTable(

@@ -108,8 +108,6 @@ def _init_network(n_inputs: int, hidden_nodes: int,
     Layout: hidden weights (row-major, one row per hidden node), hidden
     biases, output weights, output bias.
     """
-    if n_inputs < 1 or hidden_nodes < 1:
-        raise DomainError("need at least one input and one hidden node")
     rng = np.random.default_rng(seed)
     return rng.uniform(-0.5, 0.5, parameter_count(n_inputs, hidden_nodes))
 
@@ -178,13 +176,6 @@ def gradient(params: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
     delta_out = (_output(params, activations, hidden_nodes)
                  - np.asarray(targets, dtype=float))
     return _backprop(params, X, activations, delta_out, hidden_nodes)
-
-
-def _half_sse(params: np.ndarray, X: np.ndarray, y: np.ndarray,
-              hidden_nodes: int) -> float:
-    # the plain loss, kept as the finite-difference oracle of the tests
-    resid = forward(params, X, hidden_nodes) - y
-    return 0.5 * float(resid @ resid)
 
 
 def _evaluate(W: np.ndarray, Z: np.ndarray, Y: np.ndarray, n_train: int,

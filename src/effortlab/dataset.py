@@ -266,10 +266,8 @@ def _records_from_lines(lines: list[str], row_nos: list[int],
     return _Table(table, RawRecord, complete)
 
 
-def _parse_csv(stream: IO[str]) -> Sequence[RawRecord]:
-    # rows are numbered by physical line, blank lines included; the
-    # stream's own iteration finds the lines, as a caller opened it
-    stripped = list(map(str.strip, stream))
+def _parse_csv(stripped: list[str]) -> Sequence[RawRecord]:
+    # rows are numbered by physical line, blank lines included
     row_nos = list(compress(range(1, len(stripped) + 1), stripped))
     lines = list(compress(stripped, stripped))
     if not lines:
@@ -278,13 +276,13 @@ def _parse_csv(stream: IO[str]) -> Sequence[RawRecord]:
     return _records_from_lines(lines[1:], row_nos[1:], columns)
 
 
-def _parse_arff(stream: IO[str]) -> Sequence[RawRecord]:
+def _parse_arff(stripped: list[str]) -> Sequence[RawRecord]:
     columns: list[str] = []
     lines: list[str] = []
     row_nos: list[int] = []
     in_data = False
-    for row_no, raw in enumerate(stream, start=1):
-        line = raw.split("%", 1)[0].strip()
+    for row_no, line in enumerate(stripped, start=1):
+        line = line.split("%", 1)[0].strip()
         if not line:
             continue
         lowered = line.lower()
@@ -308,13 +306,14 @@ def _parse_arff(stream: IO[str]) -> Sequence[RawRecord]:
     return _records_from_lines(lines, row_nos, columns)
 
 
-def parse_dataset(stream: IO[str], format: str = "csv") -> Sequence[RawRecord]:
-    """Parse a dataset stream into RawRecords, one per data row."""
-    if format == "csv":
-        return _parse_csv(stream)
-    if format == "arff-like":
-        return _parse_arff(stream)
-    raise DomainError(f"unknown format {format!r}")
+def parse_dataset(stream: IO[str]) -> Sequence[RawRecord]:
+    """Parse a dataset stream into RawRecords, one per data row, picking
+    the format from its content: the ARFF-like format when its first
+    non-blank character is `@` or `%`, CSV otherwise. The stream's own
+    iteration finds the lines, as the caller opened it."""
+    stripped = list(map(str.strip, stream))
+    arff = next(filter(None, stripped), "")[:1] in ("@", "%")
+    return (_parse_arff if arff else _parse_csv)(stripped)
 
 
 def _decode(data: bytes, digest) -> str:
@@ -330,9 +329,7 @@ def _decode(data: bytes, digest) -> str:
 
 
 def load_dataset(path: str, digest=None) -> Sequence[RawRecord]:
-    """Parse a dataset file, picking the format from its content: the
-    ARFF-like format when its first non-blank character is `@` or `%`,
-    CSV otherwise.
+    """Parse a dataset file, as `parse_dataset` does.
 
     The file is read once, as UTF-8 with an optional byte-order mark. A
     hashlib object passed as `digest` is updated with exactly the bytes
@@ -340,8 +337,7 @@ def load_dataset(path: str, digest=None) -> Sequence[RawRecord]:
     """
     with open(path, "rb") as fh:
         text = _decode(fh.read(), digest)
-    fmt = "arff-like" if text.lstrip()[:1] in ("@", "%") else "csv"
-    return parse_dataset(io.StringIO(text, newline=None), format=fmt)
+    return parse_dataset(io.StringIO(text, newline=None))
 
 
 def bundled_dataset_path() -> str:

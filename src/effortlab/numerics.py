@@ -1,9 +1,9 @@
 """Self-contained numerical kernel.
 
 Dense least squares via Householder QR, the regularized incomplete
-beta function, Student-t and F tail probabilities, and an
-Anderson-Darling normality test. Nothing here knows about projects or
-effort; the regression layer builds on these primitives.
+beta function, and Student-t and F tail probabilities. Nothing here
+knows about projects or effort; the regression layer builds on these
+primitives.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityError, DegenerateInputError, DomainError
+from .errors import CollinearityError, DomainError
 
 RANK_PIVOT_THRESHOLD = 1e-10
-
-AD_CRITICAL_95 = 0.752
 
 _BETA_EPS = 1e-14
 _BETA_TINY = 1e-300
@@ -29,15 +27,6 @@ class LinearSystemSolution:
     coefficients: np.ndarray
     residual_sum_of_squares: float
     unscaled_covariance: np.ndarray
-
-
-@dataclass(frozen=True, slots=True)
-class NormalityReport:
-    statistic: float
-    critical_value: float
-    alpha: float
-    is_normal_at_95: bool
-    test_name: str = "anderson-darling"
 
 
 def solve_least_squares(design: np.ndarray,
@@ -159,35 +148,3 @@ def f_upper_tail_p(f: float, df1: int, df2: int) -> float:
         return 0.0
     x = df2 / (df2 + df1 * f)
     return min(1.0, regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x))
-
-
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2.0)))
-
-
-def normality_test(sample) -> NormalityReport:
-    """Anderson-Darling test with estimated mean and variance (case 3).
-
-    The statistic uses the small-sample adjustment
-    A2 * (1 + 0.75/n + 2.25/n^2) and the 0.752 critical value at the
-    95% level.
-    """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = len(x)
-    if n < 8:
-        raise DomainError(f"need at least 8 observations, got {n}")
-    mu = x.mean()
-    sd = x.std(ddof=1)
-    if sd == 0.0:
-        raise DegenerateInputError("sample is constant")
-    z = _normal_cdf((x - mu) / sd)
-    z = np.clip(z, 1e-15, 1.0 - 1e-15)
-    i = np.arange(1, n + 1)
-    a2 = -n - np.mean((2 * i - 1) * (np.log(z) + np.log(1.0 - z[::-1])))
-    adjusted = a2 * (1.0 + 0.75 / n + 2.25 / n ** 2)
-    return NormalityReport(
-        statistic=float(adjusted),
-        critical_value=AD_CRITICAL_95,
-        alpha=0.05,
-        is_normal_at_95=bool(adjusted < AD_CRITICAL_95),
-    )

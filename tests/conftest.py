@@ -4,6 +4,7 @@ import json
 import pytest
 
 import effortlab as el
+from effortlab.ann import forward
 from effortlab.dataset import COLUMNS
 
 
@@ -21,6 +22,13 @@ def serialize_records(records) -> str:
                 tokens.append(str(value))
         lines.append(",".join(tokens))
     return "\n".join(lines) + "\n"
+
+
+def half_sse(params, X, y, hidden_nodes) -> float:
+    """Half the sum of squared errors of one network: the plain loss,
+    the finite-difference oracle of the training gradient."""
+    resid = forward(params, X, hidden_nodes) - y
+    return 0.5 * float(resid @ resid)
 
 
 @pytest.fixture(scope="session")

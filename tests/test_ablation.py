@@ -68,10 +68,15 @@ def test_both_models_give_twelve_cells(complete_records):
 
 
 def test_unknown_model_rejected(complete_records):
-    with pytest.raises(el.DomainError):
+    scen = el.scenarios()[0]
+    message = ("^unknown model {!r}: a cell is 'regression' or 'ann', "
+               "and an ablation also takes 'both'$")
+    with pytest.raises(el.DomainError, match=message.format("tree")):
         el.run_ablation(complete_records, model="tree")
-    with pytest.raises(el.DomainError):
-        el.run_scenario(complete_records, el.scenarios()[0], "tree")
+    with pytest.raises(el.DomainError, match=message.format("tree")):
+        el.run_scenario(complete_records, scen, "tree")
+    with pytest.raises(el.DomainError, match=message.format("both")):
+        el.run_scenario(complete_records, scen, "both")
 
 
 def test_ann_needs_at_least_one_seed(complete_records):

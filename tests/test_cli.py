@@ -297,7 +297,7 @@ def test_public_names_in_a_fresh_interpreter():
         "modules = {name: value.__module__ for name, value in names.items()}\n"
         "print(json.dumps([dir_lists_all, same, modules]))\n")
     assert dir_lists_all
-    assert len(el.__all__) == 47
+    assert len(el.__all__) == 45
     # each name is its defining module's own object
     assert same == sorted(el.__all__)
     # and that module is the one the package's table loads for it, not one

@@ -18,8 +18,8 @@ ROW_1 = "1,1,4,85,12,5152,253,52,305,34,302,1"
 ROW_2 = "2,0,0,86,4,5635,197,124,321,33,315,1"
 
 
-def _parse(text, format="csv"):
-    return el.parse_dataset(io.StringIO(text), format=format)
+def _parse(text):
+    return el.parse_dataset(io.StringIO(text))
 
 
 def test_bundled_counts(raw_records, complete_records):
@@ -69,7 +69,7 @@ def test_duplicate_arff_attribute_is_schema_error():
     attrs = "\n".join(f"@attribute {c} numeric" for c in ("Effort", *COLUMNS))
     text = f"@relation projects\n{attrs}\n@data\n1.0,{ROW_1}\n"
     with pytest.raises(el.SchemaError, match="^duplicate attributes: Effort$"):
-        _parse(text, format="arff-like")
+        _parse(text)
 
 
 def test_duplicate_project_id_is_schema_error():
@@ -353,11 +353,22 @@ def test_filter_complete_copies_each_record(raw_records, complete_records):
 
 
 def test_arff_like_matches_csv(raw_records):
-    attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
-    rows = serialize_records(raw_records).splitlines()[1:]
+    # indented lines and trailing comments read as the bare lines do
+    attrs = "\n".join(f"  @attribute {c} numeric % {c}" for c in COLUMNS)
+    rows = [f"\t{row} % row"
+            for row in serialize_records(raw_records).splitlines()[1:]]
     text = f"% comment\n@relation projects\n{attrs}\n@data\n" + "\n".join(rows)
-    records = _parse(text, format="arff-like")
-    assert records == raw_records
+    assert _parse(text) == raw_records
+
+
+def test_parse_dataset_reads_the_format_from_the_text(raw_records):
+    csv = serialize_records(raw_records)
+    attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
+    arff = f"@relation projects\n{attrs}\n@data\n" + csv.split("\n", 1)[1]
+    # the format comes from the first non-blank character
+    for prefix in ("", "\n", "  \n% c\n"):
+        assert el.parse_dataset(io.StringIO(prefix + arff)) == raw_records
+    assert el.parse_dataset(io.StringIO("\n \n" + csv)) == raw_records
 
 
 def test_load_dataset_autodetects_arff(tmp_path, raw_records):
@@ -374,11 +385,6 @@ def test_load_dataset_autodetects_arff(tmp_path, raw_records):
         row = len((prefix + text).splitlines()) + 1
         with pytest.raises(el.ParseError, match=f"^row {row}: expected 12"):
             el.load_dataset(str(path))
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(el.DomainError):
-        _parse(f"{HEADER}\n{ROW_1}\n", format="xml")
 
 
 def test_serialize_parse_round_trip(raw_records):

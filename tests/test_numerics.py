@@ -1,6 +1,5 @@
 """Numerical kernel against independent oracles (scipy, brute force)."""
 
-import inspect
 import math
 
 import numpy as np
@@ -9,16 +8,8 @@ import scipy.special
 import scipy.stats
 
 import effortlab as el
-from effortlab.numerics import (NormalityReport, f_upper_tail_p,
-                                regularized_incomplete_beta,
+from effortlab.numerics import (f_upper_tail_p, regularized_incomplete_beta,
                                 solve_least_squares, t_two_sided_p)
-
-# scipy 1.17 warns unless a p-value method is chosen; older releases
-# have no such parameter. The statistic is the same either way.
-_ANDERSON_OPTIONS = (
-    {"method": "interpolate"}
-    if "method" in inspect.signature(scipy.stats.anderson).parameters
-    else {})
 
 
 def _random_system(rng, n=None, p=None):
@@ -157,36 +148,3 @@ class TestTailProbabilities:
             f_upper_tail_p(-1.0, 2, 3)
         with pytest.raises(el.DomainError):
             f_upper_tail_p(1.0, 0, 3)
-
-
-class TestNormality:
-    def test_statistic_matches_scipy_a2(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            sample = rng.normal(size=int(rng.integers(10, 80)))
-            ours = el.normality_test(sample)
-            ref = scipy.stats.anderson(sample, dist="norm",
-                                       **_ANDERSON_OPTIONS).statistic
-            n = len(sample)
-            adjusted = ref * (1 + 0.75 / n + 2.25 / n ** 2)
-            assert ours.statistic == pytest.approx(adjusted, abs=1e-10)
-
-    def test_normal_sample_passes(self):
-        rng = np.random.default_rng(8)
-        report = el.normality_test(rng.normal(loc=5, scale=2, size=200))
-        assert report.is_normal_at_95
-        assert isinstance(report, NormalityReport)
-
-    def test_skewed_sample_fails(self):
-        rng = np.random.default_rng(9)
-        report = el.normality_test(rng.exponential(size=200))
-        assert not report.is_normal_at_95
-        assert report.statistic > report.critical_value
-
-    def test_constant_sample_rejected(self):
-        with pytest.raises(el.DegenerateInputError):
-            el.normality_test([3.0] * 20)
-
-    def test_small_sample_rejected(self):
-        with pytest.raises(el.DomainError):
-            el.normality_test([1.0, 2.0, 3.0])

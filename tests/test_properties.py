@@ -186,18 +186,6 @@ def test_filter_complete_idempotent(records):
     assert el.filter_complete(el.parse_dataset(io.StringIO(text))) == complete
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6),
-       st.floats(min_value=0.1, max_value=10.0),
-       st.floats(min_value=-100.0, max_value=100.0))
-def test_normality_statistic_affine_invariant(seed, scale, shift):
-    sample = np.random.default_rng(seed).normal(size=30)
-    base = el.normality_test(sample)
-    moved = el.normality_test(scale * sample + shift)
-    assert moved.statistic == pytest.approx(base.statistic, abs=1e-8)
-    assert moved.is_normal_at_95 == base.is_normal_at_95
-
-
 @given(st.integers(0, 10 ** 4))
 def test_network_init_bounds(seed):
     w = _init_network(4, 3, seed=seed)
