@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import lt
 from typing import IO, Iterable, NamedTuple
 
@@ -309,9 +309,12 @@ def _parse_arff(stripped: list[str]) -> Sequence[RawRecord]:
 def parse_dataset(stream: IO[str]) -> Sequence[RawRecord]:
     """Parse a dataset stream into RawRecords, one per data row, picking
     the format from its content: the ARFF-like format when its first
-    non-blank character is `@` or `%`, CSV otherwise. The stream's own
-    iteration finds the lines, as the caller opened it."""
-    stripped = list(map(str.strip, stream))
+    non-blank character is `@` or `%`, CSV otherwise. A byte-order mark
+    that starts the text is dropped. The stream's own iteration finds
+    the lines, as the caller opened it."""
+    lines = iter(stream)
+    first = next(lines, "").removeprefix("\ufeff")
+    stripped = list(map(str.strip, chain([first], lines)))
     arff = next(filter(None, stripped), "")[:1] in ("@", "%")
     return (_parse_arff if arff else _parse_csv)(stripped)
 
@@ -320,7 +323,7 @@ def _decode(data: bytes, digest) -> str:
     if digest is not None:
         digest.update(data)
     try:
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(

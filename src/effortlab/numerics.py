@@ -1,9 +1,10 @@
 """Self-contained numerical kernel.
 
 Dense least squares via Householder QR, the regularized incomplete
-beta function, and Student-t and F tail probabilities. Nothing here
-knows about projects or effort; the regression layer builds on these
-primitives.
+beta function, and the F distribution's upper tail, the one tail every
+p value is read from: a two-sided Student-t p value is the F(1, df)
+tail of t squared, as t(df)^2 ~ F(1, df). Nothing here knows about
+projects or effort; the regression layer builds on these primitives.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ _BETA_MAX_ITER = 500
 @dataclass(frozen=True, slots=True)
 class LinearSystemSolution:
     coefficients: np.ndarray
+    residuals: np.ndarray
     residual_sum_of_squares: float
     unscaled_covariance: np.ndarray
 
@@ -63,6 +65,7 @@ def solve_least_squares(design: np.ndarray,
     unscaled = r_inv @ r_inv.T
     return LinearSystemSolution(
         coefficients=beta,
+        residuals=resid,
         residual_sum_of_squares=rss,
         unscaled_covariance=unscaled,
     )
@@ -126,23 +129,11 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def t_two_sided_p(t: float, df: int) -> float:
-    """Two-sided tail probability of Student-t with df degrees of freedom."""
-    if df < 1:
-        raise DomainError(f"df must be >= 1, got {df}")
-    if math.isnan(t):
-        raise DomainError("t must be a number")
-    if math.isinf(t):
-        return 0.0
-    x = df / (df + t * t)
-    return min(1.0, regularized_incomplete_beta(df / 2.0, 0.5, x))
-
-
 def f_upper_tail_p(f: float, df1: int, df2: int) -> float:
     """Upper-tail probability of the F distribution."""
     if df1 < 1 or df2 < 1:
         raise DomainError("degrees of freedom must be >= 1")
-    if f < 0:
+    if not f >= 0:  # NaN too
         raise DomainError(f"f must be >= 0, got {f}")
     if math.isinf(f):
         return 0.0

@@ -14,8 +14,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dataset import ProjectRecord, _columns_of
-from .errors import CollinearityError, DomainError, TransformError
-from .numerics import f_upper_tail_p, solve_least_squares, t_two_sided_p
+from .errors import (CollinearityError, DegenerateInputError, DomainError,
+                     TransformError)
+from .numerics import f_upper_tail_p, solve_least_squares
 
 # Each model term and the design columns it adds, in design-matrix order.
 # A term enters or leaves the model whole: language is two dummies.
@@ -228,8 +229,13 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
     df_resid = n - p
     resid_var = sol.residual_sum_of_squares / df_resid
     se = np.sqrt(resid_var * np.diag(sol.unscaled_covariance))
+    if not se.all():
+        raise DegenerateInputError("the model fits the response exactly, "
+                                   "so its standard errors are 0")
     t = sol.coefficients / se
-    pvals = np.array([t_two_sided_p(float(tj), df_resid) for tj in t])
+    # a two-sided t test is the F(1, df) test of t squared
+    pvals = np.array([f_upper_tail_p(tj * tj, 1, df_resid)
+                      for tj in t.tolist()])
 
     sst = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - sol.residual_sum_of_squares / sst
@@ -240,9 +246,8 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
         f_stat = float("nan")
         f_p = float("nan")
 
-    resid = y - frame.matrix @ sol.coefficients
     with np.errstate(over="ignore"):
-        smearing = float(np.mean(np.exp(resid)))
+        smearing = float(np.mean(np.exp(sol.residuals)))
     if not math.isfinite(smearing):
         raise DomainError("smearing factor overflows the float range")
     return RegressionFit(

@@ -15,8 +15,8 @@ import scipy.stats
 
 import effortlab as el
 from effortlab.ann import _init_network, gradient
-from effortlab.numerics import (regularized_incomplete_beta,
-                                solve_least_squares, t_two_sided_p)
+from effortlab.numerics import (f_upper_tail_p, regularized_incomplete_beta,
+                                solve_least_squares)
 
 from conftest import half_sse
 
@@ -185,7 +185,7 @@ def test_criterion_6_network_properties(complete_records, full_frame):
 
 
 def test_criterion_7_numerics_oracles():
-    value = t_two_sided_p(2.228, 10)
+    value = f_upper_tail_p(2.228 * 2.228, 1, 10)  # two-sided t(10) at 2.228
     assert value == pytest.approx(0.050, abs=0.0005)
 
     rng = np.random.default_rng(99)

@@ -158,6 +158,27 @@ _HUGE_FIT = _efforts(lambda i, size: "1e308" if size > _MEDIAN_SIZE
                      else "1e250")
 
 
+def _row_one_copies(sizes, efforts):
+    """Copies of the bundled row 1, numbered from 1, with each copy's
+    PointsNonAdjust and Effort set from `sizes` and `efforts`."""
+    lines = Path(el.bundled_dataset_path()).read_text().splitlines()
+    effort, size = COLUMNS.index("Effort"), COLUMNS.index("PointsNonAdjust")
+    rows = []
+    for i, (s, e) in enumerate(zip(sizes, efforts), start=1):
+        cells = lines[1].split(",")
+        cells[0], cells[size], cells[effort] = str(i), str(s), str(e)
+        rows.append(",".join(cells))
+    return ("\n".join([lines[0], *rows]) + "\n").encode()
+
+
+# files that the size-only model fits exactly, so every standard error
+# is 0: one once crashed dividing by the residual variance, the other
+# once ended in "t must be a number" after numpy warnings
+_EXACT_FIT = _row_one_copies((16, 3, 2), (48, 9, 6))
+_EXACT_FIT_UNIT = _row_one_copies((27, 16, 25, 25, 3, 2),
+                                  (27, 16, 25, 25, 3, 2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(dataset_bytes(), cli_argv())
 # an int beyond the float range once reached float() in frames and summaries
@@ -177,6 +198,11 @@ _HUGE_FIT = _efforts(lambda i, size: "1e308" if size > _MEDIAN_SIZE
 @example(_HUGE_FIT, ["metrics"])
 @example(_HUGE_FIT, ["ablate", "--model", "regression"])
 @example(_HUGE_FIT, ["metrics", "--model", "ann"])
+# an exact fit once ended in a traceback or in numpy warnings
+@example(_EXACT_FIT, ["fit", "--features", "size-only"])
+@example(_EXACT_FIT, ["metrics", "--features", "size-only"])
+@example(_EXACT_FIT_UNIT, ["fit", "--features", "size-only"])
+@example(_EXACT_FIT_UNIT, ["metrics", "--features", "size-only"])
 # a JSON ablation states every network setting, the fixed ones included
 @example(_bundled(), ["ablate", "--format", "json", "--max-iter", "2"])
 def test_cli_gives_a_report_or_an_error_line(data_path, schema, data, argv):
@@ -292,12 +318,18 @@ def test_validate_reports_a_file_with_no_complete_record(tmp_path,
      "row 2: unexpected line 'hello'"),
     ("validate", b"@relation p\n@attribute\n",
      "row 2: malformed attribute declaration"),
+    *((f"{command} --features size-only", data,
+       "the model fits the response exactly, so its standard errors are 0")
+      for data in (_EXACT_FIT, _EXACT_FIT_UNIT)
+      for command in ("fit", "metrics")),
 ], ids=["summarize-empty", "fit-empty", "metrics-empty", "ablate-empty",
         "arff-no-attributes", "arff-line-before-data",
-        "arff-bare-attribute"])
+        "arff-bare-attribute", "fit-exact", "metrics-exact",
+        "fit-exact-effort-is-size", "metrics-exact-effort-is-size"])
 def test_unusable_file_is_one_named_error(command, data, message, tmp_path,
                                           monkeypatch, capsys):
     monkeypatch.delenv("EFFORTLAB_DATASET", raising=False)
     (tmp_path / "data.csv").write_bytes(data)
-    code = cli.run([command, "--dataset", str(tmp_path / "data.csv")])
+    code = cli.run([*command.split(), "--dataset",
+                    str(tmp_path / "data.csv")])
     assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))

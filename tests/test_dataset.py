@@ -371,6 +371,15 @@ def test_parse_dataset_reads_the_format_from_the_text(raw_records):
     assert el.parse_dataset(io.StringIO("\n \n" + csv)) == raw_records
 
 
+def test_parse_dataset_drops_a_byte_order_mark(raw_records):
+    with open(el.bundled_dataset_path(), encoding="utf-8") as fh:
+        csv = fh.read()
+    attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
+    arff = f"@relation projects\n{attrs}\n@data\n" + csv.split("\n", 1)[1]
+    for text in (csv, arff):
+        assert el.parse_dataset(io.StringIO("\ufeff" + text)) == raw_records
+
+
 def test_load_dataset_autodetects_arff(tmp_path, raw_records):
     attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
     rows = serialize_records(raw_records).splitlines()[1:]

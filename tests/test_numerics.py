@@ -9,7 +9,7 @@ import scipy.stats
 
 import effortlab as el
 from effortlab.numerics import (f_upper_tail_p, regularized_incomplete_beta,
-                                solve_least_squares, t_two_sided_p)
+                                solve_least_squares)
 
 
 def _random_system(rng, n=None, p=None):
@@ -34,6 +34,7 @@ class TestLeastSquares:
         X, y = _random_system(rng, n=12, p=3)
         sol = solve_least_squares(X, y)
         resid = y - X @ sol.coefficients
+        assert np.array_equal(sol.residuals, resid)
         assert sol.residual_sum_of_squares == pytest.approx(resid @ resid)
         assert sol.unscaled_covariance == pytest.approx(
             np.linalg.inv(X.T @ X), abs=1e-10)
@@ -98,15 +99,18 @@ class TestIncompleteBeta:
 
 
 class TestTailProbabilities:
+    # A two-sided t(df) p value is the F(1, df) upper tail of t squared,
+    # which is how the package computes every t test.
     def test_t_reference_value(self):
-        assert t_two_sided_p(2.228, 10) == pytest.approx(0.050, abs=0.0005)
+        assert f_upper_tail_p(2.228 * 2.228, 1, 10) == pytest.approx(
+            0.050, abs=0.0005)
 
     def test_t_matches_scipy(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            t = float(rng.normal(scale=3))
-            df = int(rng.integers(1, 200))
-            assert t_two_sided_p(t, df) == pytest.approx(
+        cases = [(float(rng.normal(scale=3)), int(rng.integers(1, 200)))
+                 for _ in range(100)]
+        for t, df in cases + [(0.5, 14), (1.7, 14), (2.9, 14)]:
+            assert f_upper_tail_p(t * t, 1, df) == pytest.approx(
                 2 * scipy.stats.t.sf(abs(t), df), abs=1e-12)
 
     def test_t_matches_density_integration(self):
@@ -117,16 +121,18 @@ class TestTailProbabilities:
         xs = np.linspace(-t, t, 200001)
         density = const * (1 + xs ** 2 / df) ** (-(df + 1) / 2)
         inside = np.trapezoid(density, xs)
-        assert t_two_sided_p(t, df) == pytest.approx(1 - inside, abs=1e-6)
+        assert f_upper_tail_p(t * t, 1, df) == pytest.approx(1 - inside,
+                                                             abs=1e-6)
 
     def test_t_symmetry_and_range(self):
-        assert t_two_sided_p(1.3, 7) == t_two_sided_p(-1.3, 7)
-        assert t_two_sided_p(0.0, 7) == pytest.approx(1.0)
-        assert t_two_sided_p(float("inf"), 7) == 0.0
+        assert f_upper_tail_p(-1.3 * -1.3, 1, 7) == f_upper_tail_p(
+            1.3 * 1.3, 1, 7)
+        assert f_upper_tail_p(0.0, 1, 7) == pytest.approx(1.0)
+        assert f_upper_tail_p(math.inf * math.inf, 1, 7) == 0.0
 
     def test_t_bad_df(self):
         with pytest.raises(el.DomainError):
-            t_two_sided_p(1.0, 0)
+            f_upper_tail_p(1.0, 1, 0)
 
     def test_f_matches_scipy(self):
         rng = np.random.default_rng(6)
@@ -137,14 +143,11 @@ class TestTailProbabilities:
             assert f_upper_tail_p(f, df1, df2) == pytest.approx(
                 scipy.stats.f.sf(f, df1, df2), abs=1e-12)
 
-    def test_f_one_df_squares_t(self):
-        # F(1, d) is the square of t(d)
-        for t in (0.5, 1.7, 2.9):
-            assert f_upper_tail_p(t * t, 1, 14) == pytest.approx(
-                t_two_sided_p(t, 14), abs=1e-12)
-
     def test_f_bad_arguments(self):
         with pytest.raises(el.DomainError):
             f_upper_tail_p(-1.0, 2, 3)
         with pytest.raises(el.DomainError):
             f_upper_tail_p(1.0, 0, 3)
+        # a NaN fails the range check at once, not in the continued fraction
+        with pytest.raises(el.DomainError, match="^f must be >= 0, got nan$"):
+            f_upper_tail_p(math.nan, 1, 3)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import effortlab as el
 from effortlab.ann import _init_network
 from effortlab.metrics import PRED_LEVEL
-from effortlab.numerics import (regularized_incomplete_beta,
-                                solve_least_squares, t_two_sided_p)
+from effortlab.numerics import (f_upper_tail_p, regularized_incomplete_beta,
+                                solve_least_squares)
 
 from conftest import serialize_records
 
@@ -39,11 +39,13 @@ def test_incomplete_beta_within_unit_interval(a, b, x):
 
 @given(st.floats(-50, 50, allow_nan=False), st.integers(1, 500))
 def test_t_p_value_properties(t, df):
-    p = t_two_sided_p(t, df)
+    # the two-sided t p value, as the F(1, df) tail of t squared
+    p = f_upper_tail_p(t * t, 1, df)
     assert 0.0 <= p <= 1.0
-    assert p == t_two_sided_p(-t, df)
+    assert p == f_upper_tail_p(-t * -t, 1, df)
     # widening |t| can only shrink the tail
-    assert t_two_sided_p(abs(t) + 1.0, df) <= p + 1e-12
+    wider = abs(t) + 1.0
+    assert f_upper_tail_p(wider * wider, 1, df) <= p + 1e-12
 
 
 # actuals that vary, as evaluate needs for R-squared

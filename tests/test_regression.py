@@ -173,6 +173,14 @@ def test_fit_matches_numpy_reference(complete_records, full_frame):
     assert fit.n == 77
 
 
+@pytest.mark.parametrize("scenario", ["full", "size-only"])
+def test_fit_p_values_match_the_t_distribution(complete_records, scenario):
+    features = {s.name: s.features for s in el.scenarios()}[scenario]
+    fit = el.fit_ols(el.build_frame(complete_records, features))
+    expected = 2 * scipy.stats.t.sf(np.abs(fit.t_values), fit.df_residual)
+    assert fit.p_values == pytest.approx(expected, abs=1e-12)
+
+
 def test_fit_r_squared_is_log_scale(full_frame):
     fit = el.fit_ols(full_frame)
     y = full_frame.response
