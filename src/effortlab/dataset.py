@@ -8,7 +8,10 @@ both are accepted here, and CSV is the normative interchange format.
 Data lines are converted a chunk at a time: the chunk is joined and split
 once on commas, and each column is converted in one pass. An int column
 is range-checked only in a chunk with a line longer than 308 characters,
-since a shorter token is below 10**308, inside the float range.
+since a shorter token is below 10**308, inside the float range. A chunk
+with an underscore or a non-ASCII character goes cell by cell, where such
+a token is rejected: `int` and `float` would read `1_0` as 10, and a
+fullwidth or Arabic-Indic digit as the ASCII one.
 """
 
 from __future__ import annotations
@@ -166,6 +169,8 @@ def _parse_value(token: str, column: str, row: int):
     if token in MISSING_MARKERS:
         return None
     try:
+        if "_" in token or not token.isascii():  # int() and float() take both
+            raise ValueError
         value = float(token) if column in _FLOAT_COLUMNS else int(token)
     except ValueError:
         raise ParseError(
@@ -187,24 +192,26 @@ def _parse_value(token: str, column: str, row: int):
 
 
 def _convert_column(tokens: list[str], convert, column: str,
-                    row_nos: list[int],
-                    short_lines: bool) -> tuple[list, bool]:
+                    row_nos: list[int], short_lines: bool,
+                    plain: bool) -> tuple[list, bool]:
     """One column of a chunk in one pass of `convert`, and whether no cell
-    is missing; the per-cell path only when some token is missing,
-    malformed, not finite or (an int other than an id, in a chunk that is
-    not `short_lines`) beyond the float range."""
-    try:
-        values = list(map(convert, tokens))
-        if convert is float:
-            if not all(map(math.isfinite, values)):
-                raise ValueError
-        elif column != _ID_COLUMN and not short_lines:
-            # OverflowError when the largest magnitude is beyond the range
-            float(max(values)), float(min(values))
-        return values, True
-    except (ValueError, OverflowError):
-        values = [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]
-        return values, None not in values
+    is missing; the per-cell path only when the chunk is not `plain`, or
+    some token is missing, malformed, not finite or (an int other than an
+    id, in a chunk that is not `short_lines`) beyond the float range."""
+    if plain:
+        try:
+            values = list(map(convert, tokens))
+            if convert is float:
+                if not all(map(math.isfinite, values)):
+                    raise ValueError
+            elif column != _ID_COLUMN and not short_lines:
+                # OverflowError when the largest magnitude is beyond the range
+                float(max(values)), float(min(values))
+            return values, True
+        except (ValueError, OverflowError):
+            pass
+    values = [_parse_value(t, column, r) for t, r in zip(tokens, row_nos)]
+    return values, None not in values
 
 
 def _chunk(lines: list[str], row_nos: list[int], width: int, specs: list,
@@ -218,10 +225,13 @@ def _chunk(lines: list[str], row_nos: list[int], width: int, specs: list,
         row_no, n = next((r, n) for r, n in zip(row_nos, commas)
                          if n != width - 1)
         raise ParseError(f"expected {width} fields, got {n + 1}", row=row_no)
-    cells = ",".join(lines).split(",")
+    text = ",".join(lines)
+    cells = text.split(",")
     short_lines = max(map(len, lines)) <= _SHORT_LINE
+    plain = text.isascii() and "_" not in text
     values, complete = zip(*(
-        _convert_column(cells[i::width], convert, column, row_nos, short_lines)
+        _convert_column(cells[i::width], convert, column, row_nos,
+                        short_lines, plain)
         for i, convert, column in specs))
     ids = values[0]
     if None in ids:

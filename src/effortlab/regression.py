@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -268,31 +269,14 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
     )
 
 
-def _terms_of(frame: ModelFrame) -> list[tuple[str, tuple[int, ...]]]:
-    """Group design columns into selectable terms, ordered by their first
+def _terms_of(frame: ModelFrame) -> dict[str, list[int]]:
+    """Each selectable term's design columns, ordered by their first
     column; a column outside TERMS is a term of its own."""
     terms: dict[str, list[int]] = {}
     for j, name in enumerate(frame.columns):
         if name != "intercept":
             terms.setdefault(_TERM_OF.get(name, name), []).append(j)
-    return [(term, tuple(columns)) for term, columns in terms.items()]
-
-
-def _partial_f_p(frame: ModelFrame, base: list[int], extra: Sequence[int],
-                 rss: Callable[[list[int]], float]) -> float:
-    """P value for adding `extra` columns to the model over `base`; `rss`
-    gives the residual sum of squares of the model on sorted columns."""
-    full_idx = sorted(base + list(extra))
-    rss_r = rss(sorted(base))
-    rss_f = rss(full_idx)
-    df_f = frame.n - len(full_idx)
-    df_extra = len(extra)
-    if df_f < 1:
-        raise DomainError("not enough residual degrees of freedom")
-    if rss_f <= 0:
-        return 0.0
-    f_stat = ((rss_r - rss_f) / df_extra) / (rss_f / df_f)
-    return f_upper_tail_p(max(f_stat, 0.0), df_extra, df_f)
+    return terms
 
 
 def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
@@ -310,59 +294,57 @@ def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
         raise DomainError("frame has no candidate terms")
     included: list[str] = []
     steps: list[StepwiseStep] = []
-    by_name = dict(terms)
     # Each model is solved once: a round's base model is shared by every
     # candidate, and the same solve gives the same bits.
     solved: dict[tuple[int, ...], float] = {}
 
-    def rss(cols: list[int]) -> float:
-        key = tuple(cols)
+    def columns(names: Iterable[str]) -> list[int]:
+        return sorted(chain([intercept], *map(terms.get, names)))
+
+    def rss(names: Iterable[str]) -> float:
+        key = tuple(columns(names))
         if key not in solved:
             solved[key] = solve_least_squares(
-                frame.matrix[:, cols], frame.response
+                frame.matrix[:, list(key)], frame.response
             ).residual_sum_of_squares
         return solved[key]
 
-    def current_base() -> list[int]:
-        cols = [intercept]
-        for name in included:
-            cols.extend(by_name[name])
-        return cols
+    def p_value(names: list[str], term: str) -> float:
+        """Partial-F p value of adding `term` to the model on `names`."""
+        rss_r, rss_f = rss(names), rss([*names, term])
+        df_term = len(terms[term])
+        df_f = frame.n - len(columns(names)) - df_term
+        if df_f < 1:
+            raise DomainError("not enough residual degrees of freedom")
+        if rss_f <= 0:
+            return 0.0
+        f_stat = ((rss_r - rss_f) / df_term) / (rss_f / df_f)
+        return f_upper_tail_p(max(f_stat, 0.0), df_term, df_f)
 
     for _ in range(2 * len(terms)):
-        changed = False
-        base = current_base()
-        best: tuple[float, int, str] | None = None
-        for order, (name, cols) in enumerate(terms):
-            if name in included:
-                continue
-            p = _partial_f_p(frame, base, cols, rss)
-            if p < ALPHA and (best is None or (p, order) < best[:2]):
-                best = (p, order, name)
-        if best is not None:
-            included.append(best[2])
-            steps.append(StepwiseStep("add", best[2], best[0]))
-            changed = True
-
-        base = current_base()
-        worst: tuple[float, str] | None = None
-        for name in included:
-            rest = [c for c in base if c not in by_name[name]]
-            p = _partial_f_p(frame, rest, by_name[name], rss)
-            if p > ALPHA and (worst is None or p > worst[0]):
-                worst = (p, name)
-        if worst is not None:
-            included.remove(worst[1])
-            steps.append(StepwiseStep("remove", worst[1], worst[0]))
-            changed = True
-
-        if not changed:
+        taken = len(steps)
+        entry = min(((p, order, name)
+                     for order, name in enumerate(terms)
+                     if name not in included
+                     for p in [p_value(included, name)] if p < ALPHA),
+                    default=None)
+        if entry is not None:
+            p, _, name = entry
+            included.append(name)
+            steps.append(StepwiseStep("add", name, p))
+        removal = max(((p, name) for name in included
+                       for p in [p_value([n for n in included if n != name],
+                                         name)] if p > ALPHA),
+                      key=lambda e: e[0], default=None)
+        if removal is not None:
+            p, name = removal
+            included.remove(name)
+            steps.append(StepwiseStep("remove", name, p))
+        if len(steps) == taken:
             break
 
-    final = _subset(frame, current_base())
-    ordered = tuple(n for n, _ in terms if n in included)
     return StepwiseTrace(
         steps=tuple(steps),
-        selected=ordered,
-        fit=fit_ols(final),
+        selected=tuple(name for name in terms if name in included),
+        fit=fit_ols(_subset(frame, columns(included))),
     )

@@ -1,11 +1,33 @@
 import importlib.resources
 import json
+import os
 
+import numpy as np
 import pytest
 
 import effortlab as el
 from effortlab.ann import forward
 from effortlab.dataset import COLUMNS
+
+
+def pytest_report_header(config):
+    """The numeric platform: the full-precision goldens hold only where
+    the BLAS kernels and numpy's SIMD loops give the same last bits."""
+    lines = [f"numpy {np.__version__}"]
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 has no `mode`
+        info = {}
+    if info:
+        blas = info.get("Build Dependencies", {}).get("blas", {})
+        lines.append(f"BLAS {blas.get('name')} {blas.get('version')}: "
+                     f"{blas.get('openblas configuration', 'n/a')}")
+        found = info.get("SIMD Extensions", {}).get("found") or []
+        lines.append(f"SIMD extensions found: {' '.join(found) or 'none'}")
+    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        if name in os.environ:
+            lines.append(f"{name}={os.environ[name]}")
+    return lines
 
 
 def serialize_records(records) -> str:

@@ -179,6 +179,26 @@ def test_columns_may_be_reordered():
     assert records[0].manager_exp == 4
 
 
+@pytest.mark.parametrize("column, token", [
+    ("Project", "1_0"), ("TeamExp", "1_0"), ("Effort", "5_152"),
+    ("TeamExp", "\u0663"), ("TeamExp", "\uff13"), ("Effort", "\u0663")])
+def test_underscores_and_non_ascii_digits_are_not_numbers(column, token):
+    # int() and float() read "1_0" as 10 and an Arabic-Indic or fullwidth
+    # digit as the ASCII one; the second row keeps the chunk at two rows
+    cells = ROW_2.split(",")
+    cells[COLUMNS.index(column)] = token
+    with pytest.raises(el.ParseError) as info:
+        _parse(f"{HEADER}\n{ROW_1}\n{','.join(cells)}\n")
+    assert str(info.value) == (
+        f"row 3: non-numeric token {token!r} in column {column}")
+    # padded and signed tokens still parse, in a plain chunk and in one
+    # sent cell by cell for its non-ASCII padding
+    for padded in (" +3 ", "\u00a0+3\u00a0"):
+        cells[COLUMNS.index(column)] = padded
+        records = _parse(f"{HEADER}\n{ROW_1}\n{','.join(cells)}\n")
+        assert records[1][COLUMNS.index(column)] == 3
+
+
 # Cell tokens that are missing, malformed, not finite or out of range.
 _FAULTS = ("", "?", "x", "nan", "1e999", "9" * 400, "2.5")
 

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from effortlab.ann import _init_network
 from effortlab.metrics import PRED_LEVEL
 from effortlab.numerics import (f_upper_tail_p, regularized_incomplete_beta,
                                 solve_least_squares)
+from effortlab.regression import ALPHA
 
 from conftest import serialize_records
 
@@ -150,6 +152,35 @@ def test_stepwise_terminates_within_bound(seed, n_terms):
     trace = el.stepwise_select(frame)
     assert len(trace.steps) <= 2 * n_terms
     assert set(trace.selected) <= set(columns[1:])
+
+    def rss(names):
+        X_m = X[:, [columns.index(c) for c in ("intercept", *names)]]
+        resid = y - X_m @ np.linalg.lstsq(X_m, y, rcond=None)[0]
+        return float(resid @ resid)
+
+    def p_value(small, large):  # scipy's partial F between nested models
+        df = n - 1 - len(large)
+        f_stat = (rss(small) - rss(large)) / (rss(large) / df)
+        return scipy.stats.f.sf(max(f_stat, 0.0), len(large) - len(small), df)
+
+    included = []
+    for step in trace.steps:
+        after = ([*included, step.predictor] if step.action == "add"
+                 else [c for c in included if c != step.predictor])
+        small, large = sorted((included, after), key=len)
+        assert step.p_value == pytest.approx(p_value(small, large),
+                                             rel=1e-8), step
+        included = after
+    assert set(included) == set(trace.selected)
+    # each round adds a step, or is the last: fewer steps than the round
+    # bound means the search stopped because no term could enter or leave
+    if len(trace.steps) < 2 * n_terms:
+        for name in columns[1:]:
+            if name in included:
+                rest = [c for c in included if c != name]
+                assert p_value(rest, included) <= ALPHA, name
+            else:
+                assert p_value(included, [*included, name]) >= ALPHA, name
 
 
 raw_values = dict(

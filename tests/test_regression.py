@@ -1,14 +1,16 @@
 """Frame construction, OLS diagnostics, stepwise selection, prediction."""
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import effortlab as el
-from effortlab import numerics
+from effortlab import numerics, regression
 from effortlab.regression import ALPHA
 
 
@@ -361,6 +363,56 @@ def test_stepwise_trace_is_pinned(complete_records):
         "0x1.5a8ca1f6a068fp+0", "0x1.63875cdfc049cp+0",
         "0x1.a0fbdf438d5bdp-6",
     ]
+
+
+def _counted_solves(monkeypatch):
+    """The list that grows by one per solve_least_squares call that
+    regression makes."""
+    calls = []
+    solve = regression.solve_least_squares
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(regression, "solve_least_squares", counted)
+    return calls
+
+
+def _generated_records(path, n, seed):
+    """Rows drawn by perfbench/gen.py, loaded where it stands."""
+    gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.write_dataset(str(path), n, seed)
+    return el.filter_complete(el.load_dataset(str(path)))
+
+
+def test_stepwise_breaks_a_p_value_tie_by_column_order(tmp_path,
+                                                       monkeypatch):
+    records = _generated_records(tmp_path / "gen.csv", 5000, 0)
+    # in round 1 both ln_size and language enter with p == 0.0; language
+    # would win a tie broken by name
+    for term in ("ln_size", "language"):
+        assert el.fit_ols(el.build_frame(records, [term])).f_p_value == 0.0
+    frame = el.build_candidate_frame(records)
+    calls = _counted_solves(monkeypatch)
+    trace = el.stepwise_select(frame)
+    assert trace.steps[0] == el.StepwiseStep("add", "ln_size", 0.0)
+    assert [(s.action, s.predictor) for s in trace.steps] == [
+        ("add", "ln_size"), ("add", "language"), ("add", "envergure"),
+        ("add", "manager_exp"), ("add", "team_exp")]
+    # one solve per distinct model, the final fit's included
+    assert len(calls) == 35
+
+
+def test_stepwise_solves_each_model_once(complete_records, monkeypatch):
+    frame = el.build_candidate_frame(complete_records)
+    calls = _counted_solves(monkeypatch)
+    el.stepwise_select(frame)
+    # 8 + 6 + 6 + 4 distinct models over four rounds, then the final fit
+    assert len(calls) == 25
 
 
 def test_stepwise_trace_records_decisions(complete_records):
