@@ -9,7 +9,7 @@ removable attributes by how much their absence hurts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,28 +72,14 @@ def scenarios() -> tuple[Scenario, ...]:
     )
 
 
-def _median_report(reports: Sequence[MetricsReport]) -> MetricsReport:
-    return MetricsReport(n=reports[0].n, **{
-        f.name: float(np.median([getattr(r, f.name) for r in reports]))
-        for f in fields(MetricsReport) if f.name != "n"})
-
-
-def _regression_report(frame: ModelFrame,
-                       actual: Sequence[float]) -> MetricsReport:
-    """Score the regression fitted on a frame against the raw efforts."""
-    fit = fit_ols(frame)
-    with np.errstate(over="ignore"):  # evaluate names an infinity
-        predicted = np.exp(frame.matrix @ fit.coefficients)
-    return evaluate(actual, predicted.tolist())
-
-
 def _score_cells(records: Sequence[ProjectRecord],
                  scens: Sequence[Scenario], models: Sequence[str],
                  seeds: Sequence[int], ann_config: AnnConfig
                  ) -> dict[tuple[str, str], MetricsReport]:
     """Each scenario/model cell on raw effort over all records, in
-    scenario x model order; an ann cell is the per-metric median over the
-    networks of the seeds.
+    scenario x model order. A cell is the per-criterion median of the
+    scores of its prediction rows: one row per network of the seeds, and
+    one for the regression.
 
     One frame holds every scenario's terms, and each scenario's frame is
     a column subset of it, equal to the scenario's own frame. The
@@ -114,19 +100,25 @@ def _score_cells(records: Sequence[ProjectRecord],
         return _subset(full, [full.columns.index(c)
                               for c in _design_columns(scen.features)])
 
+    def score(predictions: Iterable[np.ndarray]) -> MetricsReport:
+        reports = [evaluate(actual, p.tolist()) for p in predictions]
+        return MetricsReport(n=reports[0].n, **{
+            f.name: float(np.median([getattr(r, f.name) for r in reports]))
+            for f in fields(MetricsReport) if f.name != "n"})
+
     cells: dict[tuple[str, str], MetricsReport] = {}
     if "regression" in models:
         for scen in scens:
-            cells[(scen.name, "regression")] = _regression_report(
-                frame_of(scen), actual)
+            frame = frame_of(scen)
+            with np.errstate(over="ignore"):  # evaluate names an infinity
+                predicted = np.exp(frame.matrix @ fit_ols(frame).coefficients)
+            cells[(scen.name, "regression")] = score([predicted])
     if "ann" in models:
         frames = list(map(frame_of, scens))
         for scen, frame, trained in zip(
                 scens, frames, _train_frames(frames, ann_config, seeds)):
-            nets = [net for net, _ in trained]
-            cells[(scen.name, "ann")] = _median_report([
-                evaluate(actual, predicted.tolist())
-                for predicted in _predict_frame(nets, frame)])
+            cells[(scen.name, "ann")] = score(
+                _predict_frame([net for net, _ in trained], frame))
     return {(scen.name, m): cells[(scen.name, m)]
             for scen in scens for m in models}
 

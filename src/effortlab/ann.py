@@ -392,6 +392,10 @@ def _predict_frame(models: Sequence[AnnModel], frame: ModelFrame
     pass per _SEED_BLOCK networks; the networks share their feature
     columns and hidden nodes."""
     first = models[0]
+    missing = [c for c in first.feature_columns if c not in frame.columns]
+    if missing:
+        raise DomainError("frame lacks the network's feature columns "
+                          + ", ".join(map(repr, missing)))
     keep = [frame.columns.index(c) for c in first.feature_columns]
     X = frame.matrix[:, keep]
     for b in range(0, len(models), _SEED_BLOCK):

@@ -157,10 +157,18 @@ def build_frame(records: Sequence[ProjectRecord],
         for j, name in enumerate(columns):
             matrix[:, j] = _column(name, fields)
         response = np.array(_column("ln_effort", fields))
-    except (TransformError, DomainError):
+        # a missing cell that no ln or code lookup met fills as NaN
+        if np.isnan(matrix).any() or np.isnan(response).any():
+            raise DomainError("a design value is NaN")
+    except (TransformError, DomainError, TypeError):
         # Report the first bad record in order, and its first bad value.
         for rec in records:
-            for name in columns + ("ln_effort",):
+            for name in columns[1:] + ("ln_effort",):
+                field = _LN_SOURCES.get(name) or (
+                    "language" if name in _DUMMIES else name)
+                if getattr(rec, field) is None:
+                    raise DomainError(f"project {rec.project_id}: {field} "
+                                      "is missing") from None
                 _column(name, _columns_of((rec,)))
         raise
     return ModelFrame(
@@ -288,7 +296,8 @@ def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
     removes the worst term whose p value rose above ALPHA. Stops when a
     full round changes nothing.
     """
-    intercept = frame.columns.index("intercept")
+    if frame.columns[0] != "intercept":
+        raise DomainError("frame must start with an intercept column")
     terms = _terms_of(frame)
     if not terms:
         raise DomainError("frame has no candidate terms")
@@ -299,7 +308,7 @@ def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
     solved: dict[tuple[int, ...], float] = {}
 
     def columns(names: Iterable[str]) -> list[int]:
-        return sorted(chain([intercept], *map(terms.get, names)))
+        return sorted(chain([0], *map(terms.get, names)))
 
     def rss(names: Iterable[str]) -> float:
         key = tuple(columns(names))

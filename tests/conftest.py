@@ -1,6 +1,8 @@
 import importlib.resources
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,16 @@ def serialize_records(records) -> str:
                 tokens.append(str(value))
         lines.append(",".join(tokens))
     return "\n".join(lines) + "\n"
+
+
+def load_perfbench(name: str):
+    """The benchmark's helper file perfbench/<name>.py, loaded where it
+    stands rather than copied."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def half_sse(params, X, y, hidden_nodes) -> float:

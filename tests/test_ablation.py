@@ -1,9 +1,12 @@
 """Scenario grid, seed handling, and attribute ranking."""
 
+import io
+
 import numpy as np
 import pytest
 
 import effortlab as el
+from conftest import load_perfbench
 from effortlab import ablation, ann, regression
 
 
@@ -128,6 +131,41 @@ def test_ranking_on_bundled_data(complete_records):
     ]
 
 
+@pytest.mark.parametrize("language_effect", [True, False])
+def test_ranking_recovers_a_known_language_effect(language_effect,
+                                                  monkeypatch):
+    # 77-row samples drawn from the program's own full-model fit, whose
+    # answer is known: language matters, or, with its dummies' true
+    # coefficients set to 0, it does not
+    gen = load_perfbench("gen")
+    if not language_effect:
+        monkeypatch.setitem(gen.FULL_FIT, "lang_1", 0.0)
+        monkeypatch.setitem(gen.FULL_FIT, "lang_2", 0.0)
+    firsts, ratios = [], []
+    for seed in range(40):
+        rows = gen.generate_rows(77, seed)
+        records = el.filter_complete(
+            el.parse_dataset(io.StringIO(gen.render_csv(rows))))
+        if seed == 19:  # 52, 25 and 0 rows of languages 1, 2 and 3
+            with pytest.raises(el.CollinearityError, match=(
+                    "^column 'lang_2' is linearly dependent on the "
+                    "others$")):
+                el.run_ablation(records, model="regression")
+            continue
+        table = el.run_ablation(records, model="regression")
+        ranking = el.rank_attributes(table)
+        firsts.append(ranking.entries[0].attribute == "language")
+        ratios.append(table.cell("size-only", "regression").mmre
+                      / table.cell("full", "regression").mmre)
+    ratio = float(np.median(ratios))
+    if language_effect:
+        assert sum(firsts) == 39  # measured median ratio 2.18
+        assert ratio > 1.8
+    else:
+        assert sum(firsts) == 0  # measured median ratio 1.23
+        assert ratio < 1.5
+
+
 def test_ranking_orders_synthetic_table():
     def report(mmre, r2):
         return el.MetricsReport(mmre=mmre, pred_25=0.5, rmse=100.0,
@@ -175,22 +213,22 @@ def test_ablation_builds_one_frame_and_subsets_it(source, complete_records,
                                                   monkeypatch):
     records = (complete_records if source == "bundled"
                else _generated_records())
-    built, scored = [], []
-    build, score = ablation.build_frame, ablation._regression_report
+    built, fitted = [], []
+    build, fit = ablation.build_frame, ablation.fit_ols
 
     def spy_build(*args, **kwargs):
         built.append(args[1:])
         return build(*args, **kwargs)
 
-    def spy_score(frame, *args):
-        scored.append(frame)
-        return score(frame, *args)
+    def spy_fit(frame):
+        fitted.append(frame)
+        return fit(frame)
 
     monkeypatch.setattr(ablation, "build_frame", spy_build)
-    monkeypatch.setattr(ablation, "_regression_report", spy_score)
+    monkeypatch.setattr(ablation, "fit_ols", spy_fit)
     table = el.run_ablation(records, model="regression")
     assert built == [(regression.FULL_MODEL,)]
-    for scen, frame in zip(el.scenarios(), list(scored), strict=True):
+    for scen, frame in zip(el.scenarios(), list(fitted), strict=True):
         fresh = build(records, scen.features)
         assert frame.matrix.flags.c_contiguous
         assert frame.columns == fresh.columns

@@ -556,6 +556,17 @@ def test_predict_single_record_matches_frame(complete_records, full_frame):
     assert np.all(batch > 0)
 
 
+def test_predict_frame_names_the_feature_columns_it_lacks(
+        complete_records, full_frame):
+    model, _ = el.train(full_frame, seed=0, config=el.AnnConfig(
+        max_iterations=2))
+    frame = el.build_frame(complete_records, ["ln_size", "team_exp"])
+    with pytest.raises(el.DomainError, match=(
+            "^frame lacks the network's feature columns 'lang_1', "
+            "'lang_2', 'manager_exp', 'envergure'$")):
+        el.predict_frame(model, frame)
+
+
 def test_config_holds_only_the_flag_settings():
     # --hidden and --max-iter; every other setting is a fixed constant
     assert tuple(f.name for f in dataclasses.fields(el.AnnConfig)) == (

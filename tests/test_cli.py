@@ -2,7 +2,6 @@
 
 import codecs
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from effortlab import ablation, cli
 from effortlab.cli import run
 from effortlab.dataset import bundled_dataset_path
 
-from conftest import serialize_records
+from conftest import load_perfbench, serialize_records
 
 
 def _sha256(path):
@@ -502,16 +501,8 @@ def test_metrics_matches_library_values(capsys, complete_records):
     assert body["r_squared"] == pytest.approx(expected.r_squared)
 
 
-def _load_perfbench_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path, capsys):
-    spans = _load_perfbench_spans()
+    spans = load_perfbench("spans")
     tracer = spans.Tracer()
     tracer.install()  # fails if a wrapped name is missing
     try:

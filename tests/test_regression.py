@@ -1,15 +1,14 @@
 """Frame construction, OLS diagnostics, stepwise selection, prediction."""
 
 import dataclasses
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import effortlab as el
+from conftest import load_perfbench
 from effortlab import numerics, regression
 from effortlab.regression import ALPHA
 
@@ -126,7 +125,7 @@ def test_frames_match_rowwise_reference_bit_for_bit(source,
         assert frame.project_ids == tuple(r.project_id for r in records)
 
 
-def test_first_bad_record_in_order_is_reported():
+def test_first_bad_record_in_order_is_reported(raw_records):
     # Record 2 fails only on its effort, the last value the row-wise
     # build reached; record 3 fails on its size, the first design column.
     records = [_record(), _record(project_id=2, effort=0.0),
@@ -141,6 +140,17 @@ def test_first_bad_record_in_order_is_reported():
     records[1] = _record(project_id=2, language=7)
     with pytest.raises(el.DomainError, match="got 7$"):
         el.build_frame(records)
+    # a missing cell names its project and field, in the response as in a
+    # design column
+    records[1] = _record(project_id=2, effort=None)
+    with pytest.raises(el.DomainError,
+                       match=r"^project 2: effort is missing$"):
+        el.build_frame(records)
+    # records that skipped filter_complete: projects 38, 44, 65 and 75 each
+    # miss team_exp or manager_exp, which fill a frame as NaN
+    with pytest.raises(el.DomainError,
+                       match=r"^project 38: team_exp is missing$"):
+        el.build_frame(raw_records)
 
 
 def test_nonpositive_effort_is_transform_error():
@@ -380,12 +390,8 @@ def _counted_solves(monkeypatch):
 
 
 def _generated_records(path, n, seed):
-    """Rows drawn by perfbench/gen.py, loaded where it stands."""
-    gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    gen.write_dataset(str(path), n, seed)
+    """Rows drawn by perfbench/gen.py."""
+    load_perfbench("gen").write_dataset(str(path), n, seed)
     return el.filter_complete(el.load_dataset(str(path)))
 
 
@@ -413,6 +419,15 @@ def test_stepwise_solves_each_model_once(complete_records, monkeypatch):
     el.stepwise_select(frame)
     # 8 + 6 + 6 + 4 distinct models over four rounds, then the final fit
     assert len(calls) == 25
+
+
+def test_stepwise_needs_an_intercept_first(full_frame, monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    frame = regression._subset(full_frame, range(1, len(full_frame.columns)))
+    with pytest.raises(el.DomainError,
+                       match="^frame must start with an intercept column$"):
+        el.stepwise_select(frame)
+    assert calls == []
 
 
 def test_stepwise_trace_records_decisions(complete_records):
