@@ -94,14 +94,14 @@ def _score_cells(records: Sequence[ProjectRecord],
                 "and an ablation also takes 'both'")
     full = build_frame(records, tuple(dict.fromkeys(
         term for scen in scens for term in scen.features)))
-    actual = _columns_of(records)["effort"]
+    actual = np.asarray(_columns_of(records)["effort"], dtype=np.float64)
 
     def frame_of(scen: Scenario) -> ModelFrame:
         return _subset(full, [full.columns.index(c)
                               for c in _design_columns(scen.features)])
 
     def score(predictions: Iterable[np.ndarray]) -> MetricsReport:
-        reports = [evaluate(actual, p.tolist()) for p in predictions]
+        reports = [evaluate(actual, p) for p in predictions]
         return MetricsReport(n=reports[0].n, **{
             f.name: float(np.median([getattr(r, f.name) for r in reports]))
             for f in fields(MetricsReport) if f.name != "n"})

@@ -190,10 +190,14 @@ def _evaluate(W: np.ndarray, Z: np.ndarray, Y: np.ndarray, n_train: int,
 
 
 def _standardize(matrix: np.ndarray):
-    mean = matrix.mean(axis=0)
-    sd = matrix.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return mean, sd
+    """Each column's mean and sd over the rows. A column that is constant
+    on its values has sd 1 and its value as the mean, so that its input
+    is exactly 0: the sd of a constant column is often rounding noise,
+    not 0."""
+    low, high = matrix.min(axis=0), matrix.max(axis=0)
+    constant = low == high
+    return (np.where(constant, low, matrix.mean(axis=0)),
+            np.where(constant, 1.0, matrix.std(axis=0)))
 
 
 def check_config(config: AnnConfig, seeds: Sequence[int]) -> None:

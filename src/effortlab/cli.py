@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .dataset import (DatasetSummary, Violation, bundled_dataset_path,
-                      filter_complete, load_dataset, summarize,
-                      validate_derived)
+from .dataset import (DatasetSummary, Violation, _derived_violations,
+                      bundled_dataset_path, filter_complete, load_dataset,
+                      summarize)
 from .errors import EffortlabError
 from .metrics import MetricsReport
 
@@ -403,8 +403,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
     complete = filter_complete(raw)
 
     if args.command == "validate":
-        violations = [v for record in complete
-                      for v in validate_derived(record)]
+        violations = _derived_violations(complete)
         text = _render_validation(len(raw), len(complete), violations,
                                   args.format, checksum)
         return text, (1 if violations else 0)

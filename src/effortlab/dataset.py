@@ -383,25 +383,30 @@ def filter_complete(records: Iterable[RawRecord]) -> Sequence[ProjectRecord]:
     return table
 
 
+def _derived_violations(records: Iterable[tuple]) -> list[Violation]:
+    """Check the two Table-derived size identities on every record, in
+    one pass over the columns; the violations come in record order."""
+    columns = _columns_of(records)
+    rows = zip(*(columns[name] for name in (
+        "project_id", "transactions", "entities", "points_non_adjust",
+        "envergure", "points_adjust")))
+    violations = []
+    for project_id, transactions, entities, pna, envergure, pa in rows:
+        expected_sum = transactions + entities
+        if pna != expected_sum:
+            violations.append(Violation(project_id, "points_non_adjust",
+                                        expected_sum, pna))
+        expected_adjust = pna * (0.65 + 0.01 * envergure)
+        if (expected_adjust > 0 and abs(pa - expected_adjust)
+                / expected_adjust > ADJUST_TOLERANCE):
+            violations.append(Violation(project_id, "points_adjust",
+                                        expected_adjust, pa))
+    return violations
+
+
 def validate_derived(record: ProjectRecord) -> list[Violation]:
     """Check the two Table-derived size identities on one record."""
-    violations = []
-    expected_sum = record.transactions + record.entities
-    if record.points_non_adjust != expected_sum:
-        violations.append(Violation(
-            record.project_id, "points_non_adjust",
-            expected_sum, record.points_non_adjust,
-        ))
-    expected_adjust = record.points_non_adjust * (
-        0.65 + 0.01 * record.envergure)
-    if expected_adjust > 0:
-        rel = abs(record.points_adjust - expected_adjust) / expected_adjust
-        if rel > ADJUST_TOLERANCE:
-            violations.append(Violation(
-                record.project_id, "points_adjust",
-                expected_adjust, record.points_adjust,
-            ))
-    return violations
+    return _derived_violations([record])
 
 
 def summarize(records: Sequence[ProjectRecord]) -> DatasetSummary:

@@ -1,8 +1,12 @@
 """Accuracy criteria for effort predictions.
 
 `evaluate` scores raw (untransformed) actual and predicted values,
-given as two equal-length sequences, on all five criteria in one pass:
-MMRE, PRED(0.25), RMSE, mean error and R-squared.
+given as two equal-length sequences, on all five criteria in one pass
+over numpy arrays: MMRE, PRED(0.25), RMSE, mean error and R-squared.
+Every sum runs strictly left to right, as the built-in `sum()` of
+Python 3.11 does, and every square is libm's `pow`, as Python's
+`e ** 2` is, so the criteria have the same bits on any Python version.
+numpy is imported on the first call, not with the module.
 """
 
 from __future__ import annotations
@@ -26,54 +30,65 @@ class MetricsReport:
     n: int
 
 
-def _checked(actual: Iterable[float],
-             predicted: Iterable[float]) -> tuple[list[float], list[float]]:
-    """Both sequences as float lists; raises the error of the first bad
-    pair, in order."""
-    actual = list(map(float, actual))
-    predicted = list(map(float, predicted))
-    if len(actual) != len(predicted):
-        raise DomainError(f"got {len(actual)} actual values but "
-                          f"{len(predicted)} predicted values")
-    if not actual:
-        raise DomainError("need at least one evaluation pair")
-    for a, p in zip(actual, predicted):
-        if not (math.isfinite(a) and math.isfinite(p)):
-            raise DomainError("actual and predicted must be finite")
-        if a <= 0:
-            raise DomainError(f"actual must be positive, got {a}")
-    return actual, predicted
-
-
 def evaluate(actual: Iterable[float],
              predicted: Iterable[float]) -> MetricsReport:
     """Compute all five criteria over one set of pairs, in one pass.
 
-    Actuals without variation leave R-squared undefined, so they raise
+    Bad input raises the error of the first bad pair, in order. Actuals
+    without variation leave R-squared undefined, so they raise
     DegenerateInputError; any criterion beyond the float range raises
     DomainError.
     """
-    actual, predicted = _checked(actual, predicted)
-    n = len(actual)
-    errors = [a - p for a, p in zip(actual, predicted)]
-    mres = [abs(e) / a for e, a in zip(errors, actual)]
-    try:
-        sse = sum(e ** 2 for e in errors)
-        mean_actual = sum(actual) / n
-        sst = sum((a - mean_actual) ** 2 for a in actual)
-    except OverflowError:
-        sse = sst = math.inf
+    import numpy as np
+
+    def floats(values) -> np.ndarray:
+        return np.asarray(values if isinstance(values, np.ndarray)
+                          else list(values), dtype=np.float64)
+
+    def total(values: np.ndarray) -> float:
+        # sequential, unlike numpy's pairwise `sum`
+        return float(np.add.accumulate(values)[-1])
+
+    def overflows(values: np.ndarray, squares: np.ndarray) -> bool:
+        # Python's `e ** 2` raises OverflowError for a finite e only
+        return bool(np.any(np.isinf(squares) & np.isfinite(values)))
+
+    A, P = floats(actual), floats(predicted)
+    n = len(A)
+    if n != len(P):
+        raise DomainError(f"got {n} actual values but "
+                          f"{len(P)} predicted values")
+    if not n:
+        raise DomainError("need at least one evaluation pair")
+    finite = np.isfinite(A) & np.isfinite(P)
+    bad = ~finite | (A <= 0)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise DomainError("actual and predicted must be finite")
+        raise DomainError(f"actual must be positive, got {float(A[i])}")
+    # a criterion beyond the float range is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = A - P
+        M = np.abs(E) / A
+        D = A - total(A) / n
+        E2, D2 = np.float_power(E, 2.0), np.float_power(D, 2.0)
+        if overflows(E, E2) or overflows(D, D2):
+            sse = sst = math.inf  # R-squared overflows whichever did
+        else:
+            sse, sst = total(E2), total(D2)
+        mmre, mean_error = total(M) / n, total(E) / n
     # on the values: a rounded mean leaves a constant sample a tiny sst,
     # and squares that underflow leave a varying sample none
-    if min(actual) == max(actual) or not sst > 0.0:
-        why = ("are constant" if min(actual) == max(actual)
-               else "vary too little")
+    constant = A.min() == A.max()
+    if constant or not sst > 0.0:
+        why = "are constant" if constant else "vary too little"
         raise DegenerateInputError(f"actuals {why}; r_squared is undefined")
     report = MetricsReport(
-        mmre=sum(mres) / n,
-        pred_25=sum(1 for m in mres if m <= PRED_LEVEL) / n,
+        mmre=mmre,
+        pred_25=np.count_nonzero(M <= PRED_LEVEL) / n,
         rmse=math.sqrt(sse / n),
-        mean_error=sum(errors) / n,
+        mean_error=mean_error,
         r_squared=1.0 - sse / sst,
         n=n,
     )

@@ -2,6 +2,7 @@ import importlib.resources
 import importlib.util
 import json
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,13 @@ from effortlab.dataset import COLUMNS
 
 def pytest_report_header(config):
     """The numeric platform: the full-precision goldens hold only where
-    the BLAS kernels and numpy's SIMD loops give the same last bits."""
-    lines = [f"numpy {np.__version__}"]
+    the BLAS kernels and numpy's SIMD loops give the same last bits.
+    `summarize` still adds with the built-in `sum()`, which Python 3.12
+    made compensated."""
+    compensated = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    lines = [f"Python {platform.python_version()}: built-in sum() of floats "
+             f"is {'compensated' if compensated else 'left to right'}",
+             f"numpy {np.__version__}"]
     try:
         info = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 has no `mode`

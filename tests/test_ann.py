@@ -69,9 +69,10 @@ def _reference_train(frame, config, seed):
     k = max(1, round(ann.HOLDOUT_FRACTION * n))
     order = rng.permutation(n)
     holdout_idx, train_idx = np.sort(order[:k]), np.sort(order[k:])
-    mean = X_all[train_idx].mean(axis=0)
-    sd = X_all[train_idx].std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
+    X_train = X_all[train_idx]
+    constant = X_train.min(axis=0) == X_train.max(axis=0)
+    mean = np.where(constant, X_train[0], X_train.mean(axis=0))
+    sd = np.where(constant, 1.0, X_train.std(axis=0))
     Z = (X_all - mean) / sd
     Z_train, y_train = Z[train_idx], y_all[train_idx]
     Z_hold, y_hold = Z[holdout_idx], y_all[holdout_idx]

@@ -161,32 +161,47 @@ def test_non_utf8_bytes_are_data_error(capsys, tmp_path):
         el.load_dataset(path)
 
 
-def _constant_effort(data):
-    lines = data.decode().splitlines()
-    j = lines[0].split(",").index("Effort")
-    rows = [line.split(",") for line in lines[1:]]
-    for cells in rows:
-        cells[j] = "5000"
-    return ("\n".join([lines[0], *map(",".join, rows)]) + "\n").encode()
+def _constant(column, token):
+    """An edit that sets `column` to `token` in every row."""
+    def edit(data):
+        lines = data.decode().splitlines()
+        j = lines[0].split(",").index(column)
+        rows = [line.split(",") for line in lines[1:]]
+        for cells in rows:
+            cells[j] = token
+        return ("\n".join([lines[0], *map(",".join, rows)]) + "\n").encode()
+    return edit
 
 
 @pytest.mark.parametrize("command", [["fit"], ["metrics"],
                                      ["ablate", "--model", "regression"]])
 def test_constant_effort_is_named(capsys, tmp_path, command):
-    path = _bundled_with(tmp_path, _constant_effort)
+    path = _bundled_with(tmp_path, _constant("Effort", "5000"))
     code, out, err = _capture(capsys, [*command, "--dataset", path])
     assert (code, out, err) == (1, "", "error: response is constant\n")
 
 
 def test_constant_effort_with_a_rounded_mean_is_named(capsys, tmp_path):
-    def edit(data):
-        return _constant_effort(data).replace(b",5000,", b",5152.3,")
-
-    path = _bundled_with(tmp_path, edit)
+    path = _bundled_with(tmp_path, _constant("Effort", "5152.3"))
     code, out, err = _capture(capsys, ["metrics", "--model", "ann",
                                        "--max-iter", "3", "--dataset", path])
     assert (code, out) == (1, "")
     assert err == "error: actuals are constant; r_squared is undefined\n"
+
+
+def test_constant_size_is_a_zero_network_input(capsys, tmp_path):
+    # ln 16 and ln 37 each leave the input's sd at rounding noise with
+    # one sign, ln 3 with the other: scaled by that sd, the input was -1,
+    # -1 and +1; constant on its values, it is 0 for all three
+    bodies = []
+    for size in ("16", "37", "3"):
+        path = _bundled_with(tmp_path, _constant("PointsNonAdjust", size))
+        code, out, err = _capture(capsys, [
+            "metrics", "--model", "ann", "--features", "size-only",
+            "--format", "json", "--dataset", path])
+        assert (code, err) == (0, "")
+        bodies.append(json.loads(out)["body"])
+    assert bodies[0] == bodies[1] == bodies[2]
 
 
 def test_violations_flip_exit_code(capsys, tmp_path, raw_records):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -117,24 +119,33 @@ def _random_pairs(n, seed):
     return actual.tolist(), predicted.tolist()
 
 
+def _total(terms):
+    """A strictly left-to-right sum, as `sum()` was before Python 3.12
+    made it compensated."""
+    return reduce(operator.add, terms, 0.0)
+
+
 def _reference_criteria(actual, predicted):
     """The five criteria as the per-pair functions once computed them,
     each over its own generator of pair terms."""
     n = len(actual)
     pairs = list(zip(actual, predicted))
     mres = [abs(a - p) / a for a, p in pairs]
-    mean_actual = sum(actual) / n
-    sse = sum((a - p) ** 2 for a, p in pairs)
-    return [sum(mres) / n,
+    mean_actual = _total(actual) / n
+    sse = _total((a - p) ** 2 for a, p in pairs)
+    return [_total(mres) / n,
             sum(1 for m in mres if m <= 0.25) / n,
-            math.sqrt(sum((a - p) ** 2 for a, p in pairs) / n),
-            sum(a - p for a, p in pairs) / n,
-            1.0 - sse / sum((a - mean_actual) ** 2 for a in actual)]
+            math.sqrt(_total((a - p) ** 2 for a, p in pairs) / n),
+            _total(a - p for a, p in pairs) / n,
+            1.0 - sse / _total((a - mean_actual) ** 2 for a in actual)]
 
 
 @pytest.mark.parametrize("pairs", [(ACTUAL, PREDICTED),
                                    _random_pairs(2000, 3),
-                                   _random_pairs(77, 11)])
+                                   _random_pairs(77, 11),
+                                   # its sequential SSE differs between
+                                   # e ** 2 and e * e
+                                   _random_pairs(77, 382)])
 def test_evaluate_equals_composed_metrics_bit_for_bit(pairs):
     actual, predicted = pairs
     report = el.evaluate(iter(actual), np.array(predicted))
@@ -143,6 +154,13 @@ def test_evaluate_equals_composed_metrics_bit_for_bit(pairs):
     want = np.array(_reference_criteria(actual, predicted))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert report.n == len(actual)
+
+
+def test_evaluate_sums_left_to_right():
+    # errors 1, 1e100, 1, -1e100: a left-to-right sum loses both ones to
+    # rounding, where a compensated sum (Python 3.12's `sum()`) keeps them
+    report = el.evaluate([2.0, 2e100, 2.0, 1e100], [1.0, 1e100, 1.0, 2e100])
+    assert report.mean_error == 0.0
 
 
 def test_evaluate_reports_first_bad_pair():
@@ -181,6 +199,7 @@ OVERFLOWING = {
     "square": ([1e200, 2.0], [1.0, 1.0]),       # a square overflows
     "error": ([1e308, 2.0], [-1e308, 1.0]),     # an error overflows
     "mre": ([5e-324, 2.0], [1e300, 1.0]),       # an MRE overflows
+    "sst": ([1e200, 2.0], [1e200, 2.0]),        # only sst overflows
 }
 
 
