@@ -5,27 +5,30 @@ per project, with PointsNonAdjust and PointsAdjust derived from the other
 size fields. Files circulate as CSV and as a minimal ARFF-like format;
 both are accepted here, and CSV is the normative interchange format.
 
-Data lines are converted a chunk at a time: the chunk is joined and split
-once on commas, and each column is converted in one pass. An int column
-is range-checked only in a chunk with a line longer than 308 characters,
-since a shorter token is below 10**308, inside the float range. A chunk
-with an underscore or a non-ASCII character goes cell by cell, where such
-a token is rejected: `int` and `float` would read `1_0` as 10, and a
-fullwidth or Arabic-Indic digit as the ASCII one.
+Lines are read once, in order, a chunk at a time, and no copy of the
+whole text is kept: a file's bytes are checked as UTF-8, and its lines
+are decoded from them as the chunks are read. Each chunk's data lines
+are joined and split once on commas, and each column is converted in
+one pass. An int column is range-checked only in a chunk with a line
+longer than 308 characters, since a shorter token is below 10**308,
+inside the float range. A chunk with an underscore or a non-ASCII
+character goes cell by cell, where such a token is rejected: `int` and
+`float` would read `1_0` as 10, and a fullwidth or Arabic-Indic digit as
+the ASCII one.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from itertools import chain, compress, repeat
-from operator import lt
-from typing import IO, Iterable, NamedTuple
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter, lt
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, ParseError, SchemaError
 
@@ -244,12 +247,13 @@ def _chunk(lines: list[str], row_nos: list[int], width: int, specs: list,
     return values, all(complete)
 
 
-def _records_from_lines(lines: list[str], row_nos: list[int],
+def _records_from_lines(lines: Iterator[str], row: int,
                         columns: list[str]) -> Sequence[RawRecord]:
-    """Data lines, stripped and not blank, with their physical row
-    numbers, are converted a chunk at a time. A chunk that fails is
-    converted again one row at a time: every earlier row was clean, so
-    the first row that fails alone raises the file's first error."""
+    """Stripped lines that follow the header on physical row `row` are
+    read a chunk at a time, and the data lines of each chunk (those not
+    blank) are converted together. A chunk that fails is converted again
+    one row at a time: every earlier row was clean, so the first row
+    that fails alone raises the file's first error."""
     missing = [c for c in COLUMNS if c not in columns]
     if missing:
         raise SchemaError(f"missing attributes: {', '.join(missing)}")
@@ -261,9 +265,12 @@ def _records_from_lines(lines: list[str], row_nos: list[int],
     table: list[list] = [[] for _ in COLUMNS]
     seen: set = set()
     complete = True
-    for start in range(0, len(lines), _CHUNK_ROWS):
-        chunk = lines[start:start + _CHUNK_ROWS]
-        nos = row_nos[start:start + _CHUNK_ROWS]
+    for block in iter(lambda: list(islice(lines, _CHUNK_ROWS)), []):
+        nos = list(compress(range(row + 1, row + 1 + len(block)), block))
+        row += len(block)
+        chunk = list(compress(block, block))
+        if not chunk:
+            continue
         try:
             parts = [_chunk(chunk, nos, len(columns), specs, seen)]
         except (ParseError, SchemaError):
@@ -276,44 +283,26 @@ def _records_from_lines(lines: list[str], row_nos: list[int],
     return _Table(table, RawRecord, complete)
 
 
-def _parse_csv(stripped: list[str]) -> Sequence[RawRecord]:
-    # rows are numbered by physical line, blank lines included
-    row_nos = list(compress(range(1, len(stripped) + 1), stripped))
-    lines = list(compress(stripped, stripped))
-    if not lines:
-        raise ParseError("empty file", row=1)
-    columns = [c.strip() for c in lines[0].split(",")]
-    return _records_from_lines(lines[1:], row_nos[1:], columns)
-
-
-def _parse_arff(stripped: list[str]) -> Sequence[RawRecord]:
+def _parse_arff(lines: Iterator[str], row: int) -> Sequence[RawRecord]:
+    """Declarations up to `@data`, then every line that is not blank is
+    a data row; a `%` starts a comment on any line."""
+    lines = (line.split("%", 1)[0].strip() for line in lines)
     columns: list[str] = []
-    lines: list[str] = []
-    row_nos: list[int] = []
-    in_data = False
-    for row_no, line in enumerate(stripped, start=1):
-        line = line.split("%", 1)[0].strip()
-        if not line:
-            continue
+    for row, line in enumerate(lines, start=row + 1):
         lowered = line.lower()
-        if lowered.startswith("@relation"):
-            continue
-        if lowered.startswith("@attribute"):
-            parts = line.split()
-            if len(parts) < 2:
-                raise ParseError("malformed attribute declaration", row=row_no)
-            columns.append(parts[1].strip("'\""))
+        if not line or lowered.startswith("@relation"):
             continue
         if lowered.startswith("@data"):
-            in_data = True
-            continue
-        if not in_data:
-            raise ParseError(f"unexpected line {line!r}", row=row_no)
-        lines.append(line)
-        row_nos.append(row_no)
+            break
+        if not lowered.startswith("@attribute"):
+            raise ParseError(f"unexpected line {line!r}", row=row)
+        parts = line.split()
+        if len(parts) < 2:
+            raise ParseError("malformed attribute declaration", row=row)
+        columns.append(parts[1].strip("'\""))
     if not columns:
         raise SchemaError("no attribute declarations found")
-    return _records_from_lines(lines, row_nos, columns)
+    return _records_from_lines(lines, row, columns)
 
 
 def parse_dataset(stream: IO[str]) -> Sequence[RawRecord]:
@@ -321,19 +310,28 @@ def parse_dataset(stream: IO[str]) -> Sequence[RawRecord]:
     the format from its content: the ARFF-like format when its first
     non-blank character is `@` or `%`, CSV otherwise. A byte-order mark
     that starts the text is dropped. The stream's own iteration finds
-    the lines, as the caller opened it."""
+    the lines, as the caller opened it, and they are read once, in
+    order: rows are numbered by physical line, blank lines included."""
     lines = iter(stream)
     first = next(lines, "").removeprefix("\ufeff")
-    stripped = list(map(str.strip, chain([first], lines)))
-    arff = next(filter(None, stripped), "")[:1] in ("@", "%")
-    return (_parse_arff if arff else _parse_csv)(stripped)
+    stripped = map(str.strip, chain([first], lines))
+    row, header = next(filter(itemgetter(1), enumerate(stripped, 1)),
+                       (1, ""))
+    if not header:
+        raise ParseError("empty file", row=row)
+    if header[0] in "@%":
+        return _parse_arff(chain([header], stripped), row - 1)
+    columns = [c.strip() for c in header.split(",")]
+    return _records_from_lines(stripped, row, columns)
 
 
-def _decode(data: bytes, digest) -> str:
+def _decode(data: bytes, digest) -> None:
+    """Check that `data` is UTF-8, naming the line of the first bad
+    byte, and feed it to `digest`."""
     if digest is not None:
         digest.update(data)
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(
@@ -349,8 +347,10 @@ def load_dataset(path: str, digest=None) -> Sequence[RawRecord]:
     that were parsed.
     """
     with open(path, "rb") as fh:
-        text = _decode(fh.read(), digest)
-    return parse_dataset(io.StringIO(text, newline=None))
+        data = fh.read()
+    _decode(data, digest)
+    return parse_dataset(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                          newline=None))
 
 
 def bundled_dataset_path() -> str:
@@ -410,7 +410,10 @@ def validate_derived(record: ProjectRecord) -> list[Violation]:
 
 
 def summarize(records: Sequence[ProjectRecord]) -> DatasetSummary:
-    """Descriptive statistics per numeric attribute."""
+    """Descriptive statistics per numeric attribute; every sum is added
+    strictly left to right, as the built-in `sum()` did before Python
+    3.12 made it compensated, so the bits do not depend on the Python
+    version."""
     if not records:
         raise DomainError("cannot summarize an empty dataset")
     attributes = {}
@@ -418,10 +421,12 @@ def summarize(records: Sequence[ProjectRecord]) -> DatasetSummary:
     columns = _columns_of(records)
     for name in SUMMARY_ATTRIBUTES:
         values = list(map(float, columns[name]))
-        mean = sum(values) / n
+        mean = deque(accumulate(values, initial=0.0), maxlen=1)[0] / n
+        squares = 0.0
         try:
-            sd = (math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-                  if n > 1 else 0.0)
+            for v in values:  # a loop: no generator to resume per value
+                squares += (v - mean) ** 2
+            sd = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
         except OverflowError:
             sd = math.inf
         if not math.isfinite(sd):  # also when the mean overflowed

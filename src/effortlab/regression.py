@@ -238,7 +238,10 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
     df_resid = n - p
     resid_var = sol.residual_sum_of_squares / df_resid
     se = np.sqrt(resid_var * np.diag(sol.unscaled_covariance))
-    if not se.all():
+    # an exact fit: no standard error, or residuals that are rounding
+    # noise on the response's own scale, whatever the kernel
+    if not se.all() or (sol.residual_sum_of_squares
+                        <= (n * np.finfo(float).eps) ** 2 * float(y @ y)):
         raise DegenerateInputError("the model fits the response exactly, "
                                    "so its standard errors are 0")
     t = sol.coefficients / se

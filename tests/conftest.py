@@ -13,19 +13,25 @@ from effortlab.ann import forward
 from effortlab.dataset import COLUMNS
 
 
+def numpy_config() -> dict:
+    """numpy's build and runtime configuration; empty before numpy 1.26,
+    whose `show_config` has no `mode`."""
+    try:
+        return np.show_config(mode="dicts")
+    except TypeError:
+        return {}
+
+
 def pytest_report_header(config):
     """The numeric platform: the full-precision goldens hold only where
     the BLAS kernels and numpy's SIMD loops give the same last bits.
-    `summarize` still adds with the built-in `sum()`, which Python 3.12
-    made compensated."""
+    The package adds without the built-in `sum()`, which Python 3.12
+    made compensated, so its bits do not depend on which one it is."""
     compensated = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
     lines = [f"Python {platform.python_version()}: built-in sum() of floats "
              f"is {'compensated' if compensated else 'left to right'}",
              f"numpy {np.__version__}"]
-    try:
-        info = np.show_config(mode="dicts")
-    except TypeError:  # numpy < 1.26 has no `mode`
-        info = {}
+    info = numpy_config()
     if info:
         blas = info.get("Build Dependencies", {}).get("blas", {})
         lines.append(f"BLAS {blas.get('name')} {blas.get('version')}: "

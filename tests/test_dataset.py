@@ -1,6 +1,7 @@
 """Parsing, validation, and summary of the project dataset."""
 
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ import effortlab as el
 from effortlab import dataset
 from effortlab.dataset import COLUMNS
 
-from conftest import serialize_records
+from conftest import load_perfbench, serialize_records
 
 HEADER = ",".join(COLUMNS)
 
@@ -416,6 +417,46 @@ def test_load_dataset_autodetects_arff(tmp_path, raw_records):
             el.load_dataset(str(path))
 
 
+@pytest.mark.parametrize("directive", ["@relation late", "@data",
+                                       "@attribute Extra numeric"])
+def test_arff_directive_after_data_is_a_row(directive):
+    # after @data every line that is not blank is a data row
+    attrs = "\n".join(f"@attribute {c} numeric" for c in COLUMNS)
+    text = f"@relation projects\n{attrs}\n@data\n{ROW_1}\n{directive}\n"
+    row = len(COLUMNS) + 4  # @relation, the attributes, @data, ROW_1
+    with pytest.raises(el.ParseError,
+                       match=f"^row {row}: expected 12 fields, got 1$"):
+        _parse(text)
+
+
+def test_parse_reads_the_stream_only_up_to_the_failing_chunk():
+    def lines():
+        yield f"{HEADER}\n"
+        yield ROW_1.removesuffix(",1") + ",x\n"
+        for i in range(2, 3002):
+            yield ROW_2.replace("2,", f"{i},", 1) + "\n"
+        raise AssertionError("read past the failing chunk")
+
+    with pytest.raises(el.ParseError, match="^row 2: non-numeric token 'x' "
+                       "in column Language$"):
+        el.parse_dataset(lines())
+
+
+def test_load_dataset_holds_no_whole_file_copy(tmp_path):
+    # while the table is built, only the file's bytes and one chunk of
+    # lines are held beside it, no copy of the whole text
+    path = tmp_path / "generated.csv"
+    load_perfbench("gen").write_dataset(str(path), 20_000, 0)
+    tracemalloc.start()
+    try:
+        records = el.load_dataset(str(path))
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_000
+    assert peak <= 2.5 * size
+
+
 def test_serialize_parse_round_trip(raw_records):
     text = serialize_records(raw_records)
     assert _parse(text) == raw_records
@@ -517,6 +558,14 @@ def test_summary_beyond_the_float_range_is_domain_error(complete_records,
                for r, e in zip(complete_records, efforts)]
     with pytest.raises(el.DomainError, match="^effort values are too large"):
         el.summarize(records)
+
+
+def test_summary_adds_left_to_right(complete_records):
+    # a compensated sum, as Python 3.12's built-in, gives a mean of 0.5
+    team_exps = (1, 10 ** 100, 1, -10 ** 100)
+    records = [r._replace(team_exp=t)
+               for r, t in zip(complete_records, team_exps)]
+    assert el.summarize(records).attributes["team_exp"].mean == 0.0
 
 
 def test_language_distribution(complete_records):
