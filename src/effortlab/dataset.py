@@ -333,7 +333,8 @@ def _decode(data: bytes, digest) -> None:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        # the parser's universal newlines break at \n, \r\n and \r alike
+        line = len((exc.object[:exc.start] + b"x").splitlines())
         raise ParseError(
             f"line {line}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
         ) from None

@@ -298,40 +298,32 @@ def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
     column order), then retests everything already in the model and
     removes the worst term whose p value rose above ALPHA. Stops when a
     full round changes nothing.
+
+    Every model tested is a `fit_ols` fit, so a model that `fit_ols`
+    refuses stops the search with that error.
     """
-    if frame.columns[0] != "intercept":
-        raise DomainError("frame must start with an intercept column")
     terms = _terms_of(frame)
     if not terms:
         raise DomainError("frame has no candidate terms")
     included: list[str] = []
     steps: list[StepwiseStep] = []
-    # Each model is solved once: a round's base model is shared by every
-    # candidate, and the same solve gives the same bits.
-    solved: dict[tuple[int, ...], float] = {}
+    # Each model is fitted once: a round's base model is shared by every
+    # candidate, and the selection's fit is one of them.
+    fits: dict[tuple[int, ...], RegressionFit] = {}
 
-    def columns(names: Iterable[str]) -> list[int]:
-        return sorted(chain([0], *map(terms.get, names)))
-
-    def rss(names: Iterable[str]) -> float:
-        key = tuple(columns(names))
-        if key not in solved:
-            solved[key] = solve_least_squares(
-                frame.matrix[:, list(key)], frame.response
-            ).residual_sum_of_squares
-        return solved[key]
+    def fit(names: Iterable[str]) -> RegressionFit:
+        key = tuple(sorted(chain([0], *map(terms.get, names))))
+        if key not in fits:
+            fits[key] = fit_ols(_subset(frame, key))
+        return fits[key]
 
     def p_value(names: list[str], term: str) -> float:
         """Partial-F p value of adding `term` to the model on `names`."""
-        rss_r, rss_f = rss(names), rss([*names, term])
+        reduced, full = fit(names), fit([*names, term])
         df_term = len(terms[term])
-        df_f = frame.n - len(columns(names)) - df_term
-        if df_f < 1:
-            raise DomainError("not enough residual degrees of freedom")
-        if rss_f <= 0:
-            return 0.0
-        f_stat = ((rss_r - rss_f) / df_term) / (rss_f / df_f)
-        return f_upper_tail_p(max(f_stat, 0.0), df_term, df_f)
+        f = ((reduced.residual_sum_of_squares - full.residual_sum_of_squares)
+             / df_term / full.residual_variance)
+        return f_upper_tail_p(max(f, 0.0), df_term, full.df_residual)
 
     for _ in range(2 * len(terms)):
         taken = len(steps)
@@ -358,5 +350,5 @@ def stepwise_select(frame: ModelFrame) -> StepwiseTrace:
     return StepwiseTrace(
         steps=tuple(steps),
         selected=tuple(name for name in terms if name in included),
-        fit=fit_ols(_subset(frame, columns(included))),
+        fit=fit(included),
     )

@@ -360,9 +360,11 @@ _BLAS = numpy_config().get("Build Dependencies", {}).get("blas", {})
 def test_exact_fit_is_named_under_another_kernel():
     # OpenBLAS's Haswell kernel leaves rounding noise where this one may
     # not; the child process alone runs with it
-    cases = [f"{__file__}::test_unusable_file_is_one_named_error"
-             f"[{command}-{name}]" for name in _EXACT_FITS
-             for command in ("fit", "metrics")]
+    cases = [*(f"{__file__}::test_unusable_file_is_one_named_error"
+               f"[{command}-{name}]" for name in _EXACT_FITS
+               for command in ("fit", "metrics")),
+             f"{Path(__file__).with_name('test_regression.py')}::"
+             "test_stepwise_raises_the_first_model_fit_ols_refuses[exact-fit]"]
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *cases], cwd=Path(__file__).resolve().parents[1],

@@ -151,9 +151,11 @@ def test_byte_order_mark_is_accepted(capsys, tmp_path):
         assert doc["dataset_sha256"] != plain["dataset_sha256"]
 
 
-def test_non_utf8_bytes_are_data_error(capsys, tmp_path):
-    path = _bundled_with(
-        tmp_path, lambda data: data.replace(b"\n2,", b"\n2\xff,", 1))
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_non_utf8_bytes_are_data_error(newline, capsys, tmp_path):
+    path = _bundled_with(tmp_path, lambda data: data.replace(
+        b"\n2,", b"\n2\xff,", 1).replace(b"\n", newline))
     code, out, err = _capture(capsys, ["validate", "--dataset", path])
     assert (code, out) == (1, "")
     assert err == "error: line 3: invalid UTF-8 byte 0xff\n"

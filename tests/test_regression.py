@@ -409,16 +409,17 @@ def test_stepwise_breaks_a_p_value_tie_by_column_order(tmp_path,
     assert [(s.action, s.predictor) for s in trace.steps] == [
         ("add", "ln_size"), ("add", "language"), ("add", "envergure"),
         ("add", "manager_exp"), ("add", "team_exp")]
-    # one solve per distinct model, the final fit's included
-    assert len(calls) == 35
+    # one solve per distinct model; the final fit is one of them
+    assert len(calls) == 34
 
 
 def test_stepwise_solves_each_model_once(complete_records, monkeypatch):
     frame = el.build_candidate_frame(complete_records)
     calls = _counted_solves(monkeypatch)
     el.stepwise_select(frame)
-    # 8 + 6 + 6 + 4 distinct models over four rounds, then the final fit
-    assert len(calls) == 25
+    # 8 + 6 + 6 + 4 distinct models over four rounds: one solve per
+    # distinct model; the final fit is one of them
+    assert len(calls) == 24
 
 
 def test_stepwise_needs_an_intercept_first(full_frame, monkeypatch):
@@ -428,6 +429,29 @@ def test_stepwise_needs_an_intercept_first(full_frame, monkeypatch):
                        match="^frame must start with an intercept column$"):
         el.stepwise_select(frame)
     assert calls == []
+
+
+@pytest.mark.parametrize("rows, error, message, solves", [
+    # team_exp is the fifth candidate: the intercept-only model and four
+    # one-term models solve before it
+    (lambda records: [r._replace(team_exp=2) for r in records],
+     el.CollinearityError,
+     "column 'team_exp' is linearly dependent on the others", 6),
+    (lambda records: records[:2], el.DomainError,
+     "need more rows than columns, got 2x2", 1),
+    (lambda records: [r._replace(effort=r.points_non_adjust)
+                      for r in records],
+     el.DegenerateInputError,
+     "the model fits the response exactly, so its standard errors are 0", 2),
+], ids=["constant-column", "too-few-rows", "exact-fit"])
+def test_stepwise_raises_the_first_model_fit_ols_refuses(
+        complete_records, monkeypatch, rows, error, message, solves):
+    frame = el.build_candidate_frame(rows(complete_records))
+    calls = _counted_solves(monkeypatch)
+    with pytest.raises(error, match=f"^{message}$") as info:
+        el.stepwise_select(frame)
+    assert type(info.value) is error
+    assert len(calls) == solves
 
 
 def test_stepwise_trace_records_decisions(complete_records):
