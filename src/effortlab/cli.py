@@ -339,8 +339,10 @@ def _model_flags(args: argparse.Namespace) -> tuple[list[int], AnnConfig]:
 
 
 def _dataset_path(args: argparse.Namespace) -> str:
-    return (args.dataset or os.environ.get("EFFORTLAB_DATASET")
-            or bundled_dataset_path())
+    # an empty --dataset is a missing file; an empty variable is unset
+    if args.dataset is not None:
+        return args.dataset
+    return os.environ.get("EFFORTLAB_DATASET") or bundled_dataset_path()
 
 
 # name: (help, --model choices, default model); None for no model flags

@@ -19,20 +19,27 @@ from .errors import (CollinearityError, DegenerateInputError, DomainError,
                      TransformError)
 from .numerics import f_upper_tail_p, solve_least_squares
 
-# Each model term and the design columns it adds, in design-matrix order.
-# A term enters or leaves the model whole: language is two dummies.
-TERMS = {
-    "ln_size": ("ln_size",),
-    "ln_transactions": ("ln_transactions",),
-    "ln_entities": ("ln_entities",),
-    "language": ("lang_1", "lang_2"),
-    "team_exp": ("team_exp",),
-    "manager_exp": ("manager_exp",),
-    "envergure": ("envergure",),
+# Each design column in design-matrix order: the model term it belongs to,
+# the record field it reads, and the map from a field value to its entry
+# (None: the value as it is). A term enters or leaves the model whole:
+# language is two dummies, and 4GL (3) is their baseline.
+_COLUMNS = {
+    "ln_size": ("ln_size", "points_non_adjust", math.log),
+    "ln_transactions": ("ln_transactions", "transactions", math.log),
+    "ln_entities": ("ln_entities", "entities", math.log),
+    "lang_1": ("language", "language", {1: 1.0, 2: 0.0, 3: 0.0}.__getitem__),
+    "lang_2": ("language", "language", {1: 0.0, 2: 1.0, 3: 0.0}.__getitem__),
+    "team_exp": ("team_exp", "team_exp", None),
+    "manager_exp": ("manager_exp", "manager_exp", None),
+    "envergure": ("envergure", "envergure", None),
 }
+# The response as a source of the same form: column, field, map.
+_RESPONSE = ("ln_effort", "effort", math.log)
+# Each model term and the design columns it adds, in design-matrix order.
+TERMS = {term: tuple(c for c, (t, *_) in _COLUMNS.items() if t == term)
+         for term, *_ in _COLUMNS.values()}
 FULL_MODEL = ("ln_size", "language", "team_exp", "manager_exp", "envergure")
-_TERM_OF = {column: term for term, columns in TERMS.items()
-            for column in columns}
+_TERM_OF = {column: term for column, (term, *_) in _COLUMNS.items()}
 
 ALPHA = 0.05  # the stepwise entry and removal level
 
@@ -92,44 +99,6 @@ class StepwiseTrace:
     fit: RegressionFit
 
 
-_LN_SOURCES = {"ln_size": "points_non_adjust",
-               "ln_transactions": "transactions", "ln_entities": "entities",
-               "ln_effort": "effort"}
-# Two dummies for the three language codes; 4GL (3) is the baseline.
-_DUMMIES = {"lang_1": {1: 1.0, 2: 0.0, 3: 0.0},
-            "lang_2": {1: 0.0, 2: 1.0, 3: 0.0}}
-_PLAIN = ("team_exp", "manager_exp", "envergure")
-
-
-def _column(name: str, fields: dict[str, Sequence]):
-    """One design column, or the response as ln_effort, over the fields.
-
-    Where a value cannot be formed, raises the error of the first record
-    in order whose value is bad: TransformError naming the project for a
-    non-positive ln source, DomainError for an unknown language code.
-    """
-    if name == "intercept":
-        return [1.0] * len(fields["project_id"])
-    if name in _LN_SOURCES:
-        values = fields[_LN_SOURCES[name]]
-        try:
-            return list(map(math.log, values))
-        except ValueError:
-            project_id, value = next(
-                (i, v) for i, v in zip(fields["project_id"], values) if v <= 0)
-            raise TransformError(f"cannot take ln of {name[3:]} = {value}",
-                                 project_id=project_id) from None
-    if name in _DUMMIES:
-        try:
-            return list(map(_DUMMIES[name].__getitem__, fields["language"]))
-        except KeyError as exc:  # the first bad code
-            raise DomainError("language code must be 1, 2 or 3, got "
-                              f"{exc.args[0]}") from None
-    if name in _PLAIN:
-        return fields[name]
-    raise DomainError(f"unknown design column {name!r}")
-
-
 def _design_columns(features: Iterable[str]) -> tuple[str, ...]:
     """An intercept and the named terms' columns, in TERMS order."""
     wanted = tuple(features)
@@ -145,31 +114,54 @@ def _design_columns(features: Iterable[str]) -> tuple[str, ...]:
 def build_frame(records: Sequence[ProjectRecord],
                 features: Iterable[str] = FULL_MODEL) -> ModelFrame:
     """Design matrix of an intercept and the named terms' columns in TERMS
-    order, filled one column at a time with math.log, whose values the
-    goldens pin bit for bit; the C-contiguous layout is kept because
-    least-squares results depend on it."""
+    order, each filled from its field and map in one table, `_COLUMNS`.
+    The goldens pin math.log's values bit for bit, and the C-contiguous
+    layout is kept because least-squares results depend on it.
+
+    Where a value cannot be formed, raises for the first bad record in
+    order and its first bad value in column order, the response last:
+    TransformError for ln of a non-positive value, DomainError naming the
+    project and field for a missing, NaN or non-numeric value, and
+    DomainError for an unknown language code.
+    """
     columns = _design_columns(features)
     if not records:
         raise DomainError("need at least one record")
     fields = _columns_of(records)
+    sources = [(name, *_COLUMNS[name][1:]) for name in columns[1:]]
     matrix = np.empty((len(records), len(columns)))
+    matrix[:, 0] = 1.0
     try:
-        for j, name in enumerate(columns):
-            matrix[:, j] = _column(name, fields)
-        response = np.array(_column("ln_effort", fields))
+        for j, (_, field, entry) in enumerate(sources, 1):
+            values = fields[field]
+            matrix[:, j] = list(map(entry, values)) if entry else values
+        _, field, entry = _RESPONSE
+        response = np.array(list(map(entry, fields[field])))
         # a missing cell that no ln or code lookup met fills as NaN
         if np.isnan(matrix).any() or np.isnan(response).any():
             raise DomainError("a design value is NaN")
-    except (TransformError, DomainError, TypeError):
-        # Report the first bad record in order, and its first bad value.
+    except (DomainError, KeyError, OverflowError, TypeError, ValueError):
+        # Name the first bad record in order, and its first bad value.
         for rec in records:
-            for name in columns[1:] + ("ln_effort",):
-                field = _LN_SOURCES.get(name) or (
-                    "language" if name in _DUMMIES else name)
-                if getattr(rec, field) is None:
+            for name, field, entry in (*sources, _RESPONSE):
+                value, problem = getattr(rec, field), "is missing"
+                try:
+                    if value is not None:
+                        cell = entry(value) if entry else float(value)
+                        problem = "is NaN" if math.isnan(cell) else None
+                except KeyError:
+                    raise DomainError("language code must be 1, 2 or 3, "
+                                      f"got {value}") from None
+                except ValueError if entry is math.log else ():
+                    # the one ValueError of math.log: a value <= 0
+                    raise TransformError(
+                        f"cannot take ln of {name[3:]} = {value}",
+                        project_id=rec.project_id) from None
+                except (OverflowError, TypeError, ValueError):
+                    problem = "is not a number in the float range"
+                if problem:
                     raise DomainError(f"project {rec.project_id}: {field} "
-                                      "is missing") from None
-                _column(name, _columns_of((rec,)))
+                                      f"{problem}") from None
         raise
     return ModelFrame(
         columns=columns,

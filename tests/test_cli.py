@@ -88,6 +88,18 @@ def test_unreadable_dataset_is_data_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_empty_dataset_flag_is_a_missing_file(capsys, monkeypatch):
+    # not the bundled file, which a script passing an unset variable
+    # would analyse without being told
+    code, out, err = _capture(capsys, ["validate", "--dataset", ""])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # an empty variable is unset, and the bundled file is read
+    monkeypatch.setenv("EFFORTLAB_DATASET", "")
+    code, out, _ = _capture(capsys, ["validate"])
+    assert code == 0 and "Parsed records: 81" in out
+
+
 def test_malformed_dataset_is_data_error(capsys, tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("Project,Effort\n1,100\n")

@@ -151,6 +151,47 @@ def test_first_bad_record_in_order_is_reported(raw_records):
     with pytest.raises(el.DomainError,
                        match=r"^project 38: team_exp is missing$"):
         el.build_frame(raw_records)
+    # a NaN, a string or an int past the float range, on library records
+    for field, value, problem in [
+            ("effort", math.nan, "is NaN"),
+            ("team_exp", math.nan, "is NaN"),
+            ("team_exp", "abc", "is not a number in the float range"),
+            ("envergure", 10 ** 400, "is not a number in the float range")]:
+        records[1] = _record(project_id=2, **{field: value})
+        with pytest.raises(el.DomainError,
+                           match=rf"^project 2: {field} {problem}$"):
+            el.build_frame(records)
+    # record order first: project 4's NaN before project 10's effort
+    records = [_record(project_id=i) for i in range(1, 11)]
+    records[3] = _record(project_id=4, team_exp=math.nan)
+    records[9] = _record(project_id=10, effort=0.0)
+    with pytest.raises(el.DomainError, match=r"^project 4: team_exp is NaN$"):
+        el.build_frame(records)
+
+
+def test_design_columns_come_from_one_table(complete_records):
+    # every column reads a field of the record type, as the response does
+    fields = {field for _, field, _ in regression._COLUMNS.values()}
+    assert fields | {"effort"} <= set(el.ProjectRecord._fields)
+    # the terms and their columns, key order included, that stepwise and
+    # the ablation read
+    assert list(regression.TERMS.items()) == [
+        ("ln_size", ("ln_size",)),
+        ("ln_transactions", ("ln_transactions",)),
+        ("ln_entities", ("ln_entities",)),
+        ("language", ("lang_1", "lang_2")),
+        ("team_exp", ("team_exp",)),
+        ("manager_exp", ("manager_exp",)),
+        ("envergure", ("envergure",)),
+    ]
+    assert list(regression._TERM_OF.items()) == [
+        ("ln_size", "ln_size"), ("ln_transactions", "ln_transactions"),
+        ("ln_entities", "ln_entities"), ("lang_1", "language"),
+        ("lang_2", "language"), ("team_exp", "team_exp"),
+        ("manager_exp", "manager_exp"), ("envergure", "envergure"),
+    ]
+    assert el.build_candidate_frame(complete_records).columns == (
+        "intercept", *regression._COLUMNS)
 
 
 def test_nonpositive_effort_is_transform_error():
