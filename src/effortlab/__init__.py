@@ -23,7 +23,7 @@ _MODULES = {
                 "summarize", "validate_derived"),
     "errors": ("CollinearityError", "DegenerateInputError", "DomainError",
                "EffortlabError", "InsufficientDataError", "ParseError",
-               "SchemaError", "TransformError"),
+               "SchemaError"),
     "metrics": ("MetricsReport", "evaluate"),
     "regression": ("ModelFrame", "RegressionFit", "StepwiseStep",
                    "StepwiseTrace", "build_candidate_frame", "build_frame",

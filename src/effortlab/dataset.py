@@ -326,18 +326,17 @@ def parse_dataset(stream: IO[str]) -> Sequence[RawRecord]:
 
 
 def _decode(data: bytes, digest) -> None:
-    """Check that `data` is UTF-8, naming the line of the first bad
-    byte, and feed it to `digest`."""
+    """Check that `data` is UTF-8, naming the row (its physical line) of
+    the first bad byte, and feed it to `digest`."""
     if digest is not None:
         digest.update(data)
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the parser's universal newlines break at \n, \r\n and \r alike
-        line = len((exc.object[:exc.start] + b"x").splitlines())
-        raise ParseError(
-            f"line {line}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}"
-        ) from None
+        row = len((exc.object[:exc.start] + b"x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}",
+                         row=row) from None
 
 
 def load_dataset(path: str, digest=None) -> Sequence[RawRecord]:

@@ -25,16 +25,6 @@ class DomainError(EffortlabError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class TransformError(EffortlabError):
-    """A record cannot be log-transformed. Carries the project id."""
-
-    def __init__(self, message: str, project_id: int | None = None):
-        self.project_id = project_id
-        if project_id is not None:
-            message = f"project {project_id}: {message}"
-        super().__init__(message)
-
-
 class CollinearityError(EffortlabError):
     """A design matrix is rank deficient. Carries the dependent column."""
 

@@ -86,7 +86,7 @@ def evaluate(actual: Iterable[float],
         raise DegenerateInputError(f"actuals {why}; r_squared is undefined")
     report = MetricsReport(
         mmre=mmre,
-        pred_25=np.count_nonzero(M <= PRED_LEVEL) / n,
+        pred_25=float(np.count_nonzero(M <= PRED_LEVEL) / n),
         rmse=math.sqrt(sse / n),
         mean_error=mean_error,
         r_squared=1.0 - sse / sst,

@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import ProjectRecord, _columns_of
-from .errors import (CollinearityError, DegenerateInputError, DomainError,
-                     TransformError)
+from .errors import CollinearityError, DegenerateInputError, DomainError
 from .numerics import f_upper_tail_p, solve_least_squares
 
 # Each design column in design-matrix order: the model term it belongs to,
@@ -118,11 +117,10 @@ def build_frame(records: Sequence[ProjectRecord],
     The goldens pin math.log's values bit for bit, and the C-contiguous
     layout is kept because least-squares results depend on it.
 
-    Where a value cannot be formed, raises for the first bad record in
-    order and its first bad value in column order, the response last:
-    TransformError for ln of a non-positive value, DomainError naming the
-    project and field for a missing, NaN or non-numeric value, and
-    DomainError for an unknown language code.
+    Where a value cannot be formed, raises DomainError naming the project
+    for the first bad record in order and its first bad value in column
+    order, the response last: ln of a non-positive value, a language code
+    outside 1..3, or a missing, NaN, infinite or non-numeric value.
     """
     columns = _design_columns(features)
     if not records:
@@ -137,31 +135,31 @@ def build_frame(records: Sequence[ProjectRecord],
             matrix[:, j] = list(map(entry, values)) if entry else values
         _, field, entry = _RESPONSE
         response = np.array(list(map(entry, fields[field])))
-        # a missing cell that no ln or code lookup met fills as NaN
-        if np.isnan(matrix).any() or np.isnan(response).any():
-            raise DomainError("a design value is NaN")
+        # a missing cell that no ln or code lookup met fills as NaN, and
+        # an infinite value passes as it is
+        if not (np.isfinite(matrix).all() and np.isfinite(response).all()):
+            raise DomainError("a design value is not finite")
     except (DomainError, KeyError, OverflowError, TypeError, ValueError):
         # Name the first bad record in order, and its first bad value.
         for rec in records:
             for name, field, entry in (*sources, _RESPONSE):
-                value, problem = getattr(rec, field), "is missing"
+                value, problem = getattr(rec, field), f"{field} is missing"
                 try:
                     if value is not None:
                         cell = entry(value) if entry else float(value)
-                        problem = "is NaN" if math.isnan(cell) else None
+                        problem = (None if math.isfinite(cell) else
+                                   f"{field} is NaN" if math.isnan(cell) else
+                                   f"{field} is not finite")
                 except KeyError:
-                    raise DomainError("language code must be 1, 2 or 3, "
-                                      f"got {value}") from None
+                    problem = f"language code {value} not in 1..3"
                 except ValueError if entry is math.log else ():
                     # the one ValueError of math.log: a value <= 0
-                    raise TransformError(
-                        f"cannot take ln of {name[3:]} = {value}",
-                        project_id=rec.project_id) from None
+                    problem = f"cannot take ln of {name[3:]} = {value}"
                 except (OverflowError, TypeError, ValueError):
-                    problem = "is not a number in the float range"
+                    problem = f"{field} is not a number in the float range"
                 if problem:
-                    raise DomainError(f"project {rec.project_id}: {field} "
-                                      f"{problem}") from None
+                    raise DomainError(
+                        f"project {rec.project_id}: {problem}") from None
         raise
     return ModelFrame(
         columns=columns,

@@ -237,18 +237,11 @@ def test_cli_gives_a_report_or_an_error_line(data_path, schema, data, argv):
         assert err.getvalue().count("\n") == 1
 
 
-def _unchecked_filter(records):
-    """filter_complete without its domain checks."""
-    return [el.ProjectRecord._make(r) for r in records
-            if None not in r]
-
-
 # One command per error class; None runs on the bundled file.
 ERROR_CASES = {
     errors.ParseError: (["validate"], _bundled("Effort", "x")),
     errors.SchemaError: (["validate"], _bundled("Language", "4")),
     errors.DomainError: (["fit", "--model", "ann", "--seed", "-1"], None),
-    errors.TransformError: (["fit"], _bundled("Effort", "0")),
     errors.CollinearityError: (["fit"], _bundled("Language", "1")),
     errors.InsufficientDataError: (["fit", "--model", "ann"],
                                    _bundled(keep=9)),
@@ -273,10 +266,6 @@ def test_error_class_exits_one_with_one_error_line(error_class, tmp_path,
     if data is not None:
         (tmp_path / "data.csv").write_bytes(data)
         argv = [*argv, "--dataset", str(tmp_path / "data.csv")]
-    if error_class is errors.TransformError:
-        # filter_complete rejects effort <= 0 first, so no file reaches
-        # the log transform with one; bypass it to check the exit code.
-        monkeypatch.setattr(cli, "filter_complete", _unchecked_filter)
     raised = []
     dispatch = cli._dispatch
 

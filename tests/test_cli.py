@@ -170,9 +170,10 @@ def test_non_utf8_bytes_are_data_error(newline, capsys, tmp_path):
         b"\n2,", b"\n2\xff,", 1).replace(b"\n", newline))
     code, out, err = _capture(capsys, ["validate", "--dataset", path])
     assert (code, out) == (1, "")
-    assert err == "error: line 3: invalid UTF-8 byte 0xff\n"
-    with pytest.raises(el.ParseError):
+    assert err == "error: row 3: invalid UTF-8 byte 0xff\n"
+    with pytest.raises(el.ParseError) as info:
         el.load_dataset(path)
+    assert info.value.row == 3
 
 
 def _constant(column, token):
@@ -325,7 +326,7 @@ def test_public_names_in_a_fresh_interpreter():
         "modules = {name: value.__module__ for name, value in names.items()}\n"
         "print(json.dumps([dir_lists_all, same, modules]))\n")
     assert dir_lists_all
-    assert len(el.__all__) == 45
+    assert len(el.__all__) == 44
     # each name is its defining module's own object
     assert same == sorted(el.__all__)
     # and that module is the one the package's table loads for it, not one

@@ -110,6 +110,8 @@ def test_evaluate_bundles_all_criteria():
         "mmre": (0.2 + 0.25 + 0.025) / 3, "pred_25": 1.0,
         "rmse": math.sqrt(3000 / 3), "mean_error": 20 / 3,
         "r_squared": 1 - 3000 / sst, "n": 3})
+    # Python floats, not numpy scalars, in every criterion
+    assert list(map(type, dataclasses.astuple(report))) == [float] * 5 + [int]
 
 
 def _random_pairs(n, seed):

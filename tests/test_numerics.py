@@ -64,6 +64,11 @@ class TestLeastSquares:
         with pytest.raises(el.DomainError):
             solve_least_squares(X, np.zeros(5))
 
+    def test_one_dimensional_design_rejected(self):
+        with pytest.raises(el.DomainError,
+                           match="^design must be a 2-d matrix$"):
+            solve_least_squares(np.ones(5), np.zeros(5))
+
     def test_underdetermined_rejected(self):
         with pytest.raises(el.DomainError):
             solve_least_squares(np.ones((2, 3)), np.zeros(2))

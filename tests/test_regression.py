@@ -35,7 +35,7 @@ def test_encode_language_rejects_unknown():
     records = [_record(project_id=1), _record(project_id=2, language=4),
                _record(project_id=3, language=0)]
     with pytest.raises(el.DomainError,
-                       match="^language code must be 1, 2 or 3, got 4$"):
+                       match=r"^project 2: language code 4 not in 1\.\.3$"):
         el.build_frame(records, ["language"])
 
 
@@ -130,15 +130,16 @@ def test_first_bad_record_in_order_is_reported(raw_records):
     # build reached; record 3 fails on its size, the first design column.
     records = [_record(), _record(project_id=2, effort=0.0),
                _record(project_id=3, points_non_adjust=-1.0)]
-    with pytest.raises(el.TransformError,
+    with pytest.raises(el.DomainError,
                        match=r"^project 2: cannot take ln of effort = 0\.0$"):
         el.build_frame(records)
     records[1] = _record(project_id=2, entities=0)
-    with pytest.raises(el.TransformError,
+    with pytest.raises(el.DomainError,
                        match=r"^project 2: cannot take ln of entities = 0$"):
         el.build_candidate_frame(records)
     records[1] = _record(project_id=2, language=7)
-    with pytest.raises(el.DomainError, match="got 7$"):
+    with pytest.raises(el.DomainError,
+                       match=r"^project 2: language code 7 not in 1\.\.3$"):
         el.build_frame(records)
     # a missing cell names its project and field, in the response as in a
     # design column
@@ -151,10 +152,14 @@ def test_first_bad_record_in_order_is_reported(raw_records):
     with pytest.raises(el.DomainError,
                        match=r"^project 38: team_exp is missing$"):
         el.build_frame(raw_records)
-    # a NaN, a string or an int past the float range, on library records
+    # a NaN, an infinity, a string or an int past the float range, on
+    # library records
     for field, value, problem in [
             ("effort", math.nan, "is NaN"),
             ("team_exp", math.nan, "is NaN"),
+            ("effort", math.inf, "is not finite"),
+            ("points_non_adjust", math.inf, "is not finite"),
+            ("team_exp", -math.inf, "is not finite"),
             ("team_exp", "abc", "is not a number in the float range"),
             ("envergure", 10 ** 400, "is not a number in the float range")]:
         records[1] = _record(project_id=2, **{field: value})
@@ -194,11 +199,11 @@ def test_design_columns_come_from_one_table(complete_records):
         "intercept", *regression._COLUMNS)
 
 
-def test_nonpositive_effort_is_transform_error():
+def test_nonpositive_effort_names_its_project():
     records = [_record(), _record(project_id=2, effort=-5.0)]
-    with pytest.raises(el.TransformError) as info:
+    with pytest.raises(el.DomainError,
+                       match=r"^project 2: cannot take ln of effort = -5\.0$"):
         el.build_frame(records)
-    assert info.value.project_id == 2
 
 
 def test_build_frame_takes_terms_in_any_order(complete_records):
@@ -463,6 +468,14 @@ def test_stepwise_solves_each_model_once(complete_records, monkeypatch):
     assert len(calls) == 24
 
 
+def test_stepwise_needs_a_candidate_term(complete_records, monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    frame = el.build_frame(complete_records, [])
+    with pytest.raises(el.DomainError, match="^frame has no candidate terms$"):
+        el.stepwise_select(frame)
+    assert calls == []
+
+
 def test_stepwise_needs_an_intercept_first(full_frame, monkeypatch):
     calls = _counted_solves(monkeypatch)
     frame = regression._subset(full_frame, range(1, len(full_frame.columns)))
@@ -649,4 +662,4 @@ def test_predict_effort_raises_what_build_frame_raises(bad):
     with pytest.raises(el.EffortlabError) as built:
         el.build_frame([record])
     assert str(built.value) in ("project 5: cannot take ln of size = 0.0",
-                                "language code must be 1, 2 or 3, got 4")
+                                "project 5: language code 4 not in 1..3")
