@@ -21,9 +21,8 @@ _MODULES = {
                 "RawRecord", "Violation", "bundled_dataset_path",
                 "filter_complete", "load_dataset", "parse_dataset",
                 "summarize", "validate_derived"),
-    "errors": ("CollinearityError", "DegenerateInputError", "DomainError",
-               "EffortlabError", "InsufficientDataError", "ParseError",
-               "SchemaError"),
+    "errors": ("CollinearityError", "DomainError", "EffortlabError",
+               "ParseError"),
     "metrics": ("MetricsReport", "evaluate"),
     "regression": ("ModelFrame", "RegressionFit", "StepwiseStep",
                    "StepwiseTrace", "build_candidate_frame", "build_frame",

@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 from .regression import ModelFrame
 
 STOP_MAX_ITERATIONS = "max_iterations"
@@ -244,7 +244,7 @@ def _train_frames(frames: Sequence[ModelFrame], config: AnnConfig,
             raise DomainError("frame has no predictor columns")
         n = len(frame.response)
         if n < 10:
-            raise InsufficientDataError(f"need at least 10 records, got {n}")
+            raise DomainError(f"need at least 10 records, got {n}")
         groups.setdefault((n, width), []).extend((i, seed) for seed in seeds)
     trained: list[list[tuple[AnnModel, TrainingTrace]]] = [[] for _ in frames]
     for jobs in groups.values():

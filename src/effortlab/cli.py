@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .dataset import (DatasetSummary, Violation, _derived_violations,
                       bundled_dataset_path, filter_complete, load_dataset,
                       summarize)
-from .errors import EffortlabError
+from .errors import DomainError, EffortlabError
 from .metrics import MetricsReport
 
 if TYPE_CHECKING:  # the model layers load numpy; see _MODEL_NAMES
@@ -260,7 +260,7 @@ def _build(report) -> _Report:
         return _ablation_report(report)
     if isinstance(report, RegressionFit):
         return _fit_report(report)
-    raise EffortlabError(f"cannot render {type(report).__name__}")
+    raise DomainError(f"cannot render {type(report).__name__}")
 
 
 def render_report(report: AblationTable | RegressionFit | MetricsReport,
@@ -268,7 +268,7 @@ def render_report(report: AblationTable | RegressionFit | MetricsReport,
                   checksum: str | None = None) -> str:
     """Render an analysis result in one of the three output formats."""
     if format not in FORMATS:
-        raise EffortlabError(f"unknown format {format!r}")
+        raise DomainError(f"unknown format {format!r}")
     return _WRITERS[format](_build(report), checksum)
 
 
@@ -326,11 +326,11 @@ def _model_flags(args: argparse.Namespace) -> tuple[list[int], AnnConfig]:
     from .ann import AnnConfig, check_config
 
     if args.seeds < 1:
-        raise EffortlabError("--seeds must be at least 1")
+        raise DomainError("--seeds must be at least 1")
     # a network's arrays grow with both, and past these no run is useful
     for flag, value in (("--seeds", args.seeds), ("--hidden", args.hidden)):
         if value is not None and value > 10000:
-            raise EffortlabError(f"{flag} must be at most 10000")
+            raise DomainError(f"{flag} must be at most 10000")
     seeds = [args.seed + i for i in range(args.seeds)]
     overrides = {"hidden_nodes": args.hidden, "max_iterations": args.max_iter}
     config = AnnConfig(**{k: v for k, v in overrides.items() if v is not None})

@@ -30,7 +30,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, lt
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, ParseError, SchemaError
+from .errors import DomainError, ParseError
 
 COLUMNS = (
     "Project",
@@ -242,7 +242,7 @@ def _chunk(lines: list[str], row_nos: list[int], width: int, specs: list,
     if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
         duplicate = next(i for i, n in Counter(ids).items()
                          if n > 1 or i in seen)
-        raise SchemaError(f"duplicate project id {duplicate}")
+        raise ParseError(f"duplicate project id {duplicate}")
     seen.update(ids)  # last: a chunk that fails is converted again
     return values, all(complete)
 
@@ -256,10 +256,10 @@ def _records_from_lines(lines: Iterator[str], row: int,
     that fails alone raises the file's first error."""
     missing = [c for c in COLUMNS if c not in columns]
     if missing:
-        raise SchemaError(f"missing attributes: {', '.join(missing)}")
+        raise ParseError(f"missing attributes: {', '.join(missing)}")
     duplicate = [c for c in COLUMNS if columns.count(c) > 1]
     if duplicate:
-        raise SchemaError(f"duplicate attributes: {', '.join(duplicate)}")
+        raise ParseError(f"duplicate attributes: {', '.join(duplicate)}")
     specs = [(columns.index(c), float if c in _FLOAT_COLUMNS else int, c)
              for c in COLUMNS]
     table: list[list] = [[] for _ in COLUMNS]
@@ -273,7 +273,7 @@ def _records_from_lines(lines: Iterator[str], row: int,
             continue
         try:
             parts = [_chunk(chunk, nos, len(columns), specs, seen)]
-        except (ParseError, SchemaError):
+        except ParseError:
             parts = [_chunk([line], [row_no], len(columns), specs, seen)
                      for line, row_no in zip(chunk, nos)]
         for values, whole in parts:
@@ -301,7 +301,7 @@ def _parse_arff(lines: Iterator[str], row: int) -> Sequence[RawRecord]:
             raise ParseError("malformed attribute declaration", row=row)
         columns.append(parts[1].strip("'\""))
     if not columns:
-        raise SchemaError("no attribute declarations found")
+        raise ParseError("no attribute declarations found")
     return _records_from_lines(lines, row, columns)
 
 
@@ -378,7 +378,7 @@ def filter_complete(records: Iterable[RawRecord]) -> Sequence[ProjectRecord]:
             raise DomainError(f"project {rec.project_id}: {what} must be "
                               "positive")
         if rec.language not in (1, 2, 3):
-            raise SchemaError(f"project {rec.project_id}: language code "
+            raise DomainError(f"project {rec.project_id}: language code "
                               f"{rec.language} not in 1..3")
     return table
 
@@ -397,8 +397,9 @@ def _derived_violations(records: Iterable[tuple]) -> list[Violation]:
             violations.append(Violation(project_id, "points_non_adjust",
                                         expected_sum, pna))
         expected_adjust = pna * (0.65 + 0.01 * envergure)
-        if (expected_adjust > 0 and abs(pa - expected_adjust)
-                / expected_adjust > ADJUST_TOLERANCE):
+        # relative drift where the expected value is positive, else exact
+        if (abs(pa - expected_adjust) / expected_adjust > ADJUST_TOLERANCE
+                if expected_adjust > 0 else pa != expected_adjust):
             violations.append(Violation(project_id, "points_adjust",
                                         expected_adjust, pa))
     return violations

@@ -8,7 +8,9 @@ class EffortlabError(Exception):
 
 
 class ParseError(EffortlabError):
-    """A data file could not be parsed. Carries the offending row number."""
+    """A data file is not a table of the schema: a bad token, line,
+    header or id. Carries the offending row number when one line is at
+    fault."""
 
     def __init__(self, message: str, row: int | None = None):
         self.row = row
@@ -17,12 +19,8 @@ class ParseError(EffortlabError):
         super().__init__(message)
 
 
-class SchemaError(EffortlabError):
-    """A data file violates the expected schema (columns, ids, codes)."""
-
-
 class DomainError(EffortlabError):
-    """An argument is outside the mathematical domain of an operation."""
+    """A value, record or argument that an operation does not accept."""
 
 
 class CollinearityError(EffortlabError):
@@ -31,11 +29,3 @@ class CollinearityError(EffortlabError):
     def __init__(self, message: str, column: str | int | None = None):
         self.column = column
         super().__init__(message)
-
-
-class InsufficientDataError(EffortlabError):
-    """Too few rows for the requested fit."""
-
-
-class DegenerateInputError(EffortlabError):
-    """Input is constant or otherwise statistically degenerate."""

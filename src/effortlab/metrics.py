@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DomainError
 
 PRED_LEVEL = 0.25
 
@@ -34,10 +34,10 @@ def evaluate(actual: Iterable[float],
              predicted: Iterable[float]) -> MetricsReport:
     """Compute all five criteria over one set of pairs, in one pass.
 
-    Bad input raises the error of the first bad pair, in order. Actuals
-    without variation leave R-squared undefined, so they raise
-    DegenerateInputError; any criterion beyond the float range raises
-    DomainError.
+    Every refusal is a DomainError: bad input names its first bad pair,
+    in order; actuals without variation leave R-squared undefined; and
+    a criterion or a sum of squares beyond the float range is named as
+    an overflow.
     """
     import numpy as np
 
@@ -48,10 +48,6 @@ def evaluate(actual: Iterable[float],
     def total(values: np.ndarray) -> float:
         # sequential, unlike numpy's pairwise `sum`
         return float(np.add.accumulate(values)[-1])
-
-    def overflows(values: np.ndarray, squares: np.ndarray) -> bool:
-        # Python's `e ** 2` raises OverflowError for a finite e only
-        return bool(np.any(np.isinf(squares) & np.isfinite(values)))
 
     A, P = floats(actual), floats(predicted)
     n = len(A)
@@ -72,18 +68,15 @@ def evaluate(actual: Iterable[float],
         E = A - P
         M = np.abs(E) / A
         D = A - total(A) / n
-        E2, D2 = np.float_power(E, 2.0), np.float_power(D, 2.0)
-        if overflows(E, E2) or overflows(D, D2):
-            sse = sst = math.inf  # R-squared overflows whichever did
-        else:
-            sse, sst = total(E2), total(D2)
+        sse = total(np.float_power(E, 2.0))
+        sst = total(np.float_power(D, 2.0))
         mmre, mean_error = total(M) / n, total(E) / n
     # on the values: a rounded mean leaves a constant sample a tiny sst,
     # and squares that underflow leave a varying sample none
     constant = A.min() == A.max()
     if constant or not sst > 0.0:
         why = "are constant" if constant else "vary too little"
-        raise DegenerateInputError(f"actuals {why}; r_squared is undefined")
+        raise DomainError(f"actuals {why}; r_squared is undefined")
     report = MetricsReport(
         mmre=mmre,
         pred_25=float(np.count_nonzero(M <= PRED_LEVEL) / n),
@@ -92,7 +85,7 @@ def evaluate(actual: Iterable[float],
         r_squared=1.0 - sse / sst,
         n=n,
     )
-    if not all(map(math.isfinite, (report.mmre, report.rmse,
+    if not all(map(math.isfinite, (report.mmre, report.rmse, sst,
                                    report.mean_error, report.r_squared))):
         raise DomainError("accuracy criteria overflow the float range")
     return report

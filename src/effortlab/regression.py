@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import ProjectRecord, _columns_of
-from .errors import CollinearityError, DegenerateInputError, DomainError
+from .errors import CollinearityError, DomainError
 from .numerics import f_upper_tail_p, solve_least_squares
 
 # Each design column in design-matrix order: the model term it belongs to,
@@ -232,8 +232,8 @@ def fit_ols(frame: ModelFrame) -> RegressionFit:
     # noise on the response's own scale, whatever the kernel
     if not se.all() or (sol.residual_sum_of_squares
                         <= (n * np.finfo(float).eps) ** 2 * float(y @ y)):
-        raise DegenerateInputError("the model fits the response exactly, "
-                                   "so its standard errors are 0")
+        raise DomainError("the model fits the response exactly, "
+                          "so its standard errors are 0")
     t = sol.coefficients / se
     # a two-sided t test is the F(1, df) test of t squared
     pvals = np.array([f_upper_tail_p(tj * tj, 1, df_resid)

@@ -234,7 +234,8 @@ def test_gradient_matches_central_differences():
 
 def test_train_requires_ten_records(complete_records):
     frame = el.build_frame(complete_records[:9])
-    with pytest.raises(el.InsufficientDataError):
+    with pytest.raises(el.DomainError,
+                       match="^need at least 10 records, got 9$"):
         el.train(frame)
 
 

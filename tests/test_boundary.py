@@ -237,32 +237,41 @@ def test_cli_gives_a_report_or_an_error_line(data_path, schema, data, argv):
         assert err.getvalue().count("\n") == 1
 
 
-# One command per error class; None runs on the bundled file.
-ERROR_CASES = {
-    errors.ParseError: (["validate"], _bundled("Effort", "x")),
-    errors.SchemaError: (["validate"], _bundled("Language", "4")),
-    errors.DomainError: (["fit", "--model", "ann", "--seed", "-1"], None),
-    errors.CollinearityError: (["fit"], _bundled("Language", "1")),
-    errors.InsufficientDataError: (["fit", "--model", "ann"],
-                                   _bundled(keep=9)),
-    errors.DegenerateInputError: (
-        ["metrics", "--model", "ann", "--max-iter", "3"],
-        _bundled("Effort", "5000")),
-}
+# Commands that each end in one error class, at least one per class;
+# None runs on the bundled file.
+ERROR_CASES = [
+    ("ParseError", errors.ParseError, ["validate"],
+     _bundled("Effort", "x")),
+    ("ParseError-duplicate-id", errors.ParseError, ["validate"],
+     _bundled("Project", "1")),
+    ("DomainError-language", errors.DomainError, ["validate"],
+     _bundled("Language", "4")),
+    ("DomainError", errors.DomainError,
+     ["fit", "--model", "ann", "--seed", "-1"], None),
+    ("CollinearityError", errors.CollinearityError, ["fit"],
+     _bundled("Language", "1")),
+    ("DomainError-nine-rows", errors.DomainError, ["fit", "--model", "ann"],
+     _bundled(keep=9)),
+    ("DomainError-constant-effort", errors.DomainError,
+     ["metrics", "--model", "ann", "--max-iter", "3"],
+     _bundled("Effort", "5000")),
+]
 
 
 def test_every_error_class_has_a_contract_case():
     classes = {c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, el.EffortlabError)}
-    assert classes - {el.EffortlabError} == set(ERROR_CASES)
+    assert classes - {el.EffortlabError} == {
+        error_class for _, error_class, _, _ in ERROR_CASES}
 
 
-@pytest.mark.parametrize("error_class", list(ERROR_CASES),
-                         ids=lambda c: c.__name__)
-def test_error_class_exits_one_with_one_error_line(error_class, tmp_path,
-                                                   monkeypatch, capsys):
+@pytest.mark.parametrize("error_class, argv, data",
+                         [case[1:] for case in ERROR_CASES],
+                         ids=[case[0] for case in ERROR_CASES])
+def test_error_class_exits_one_with_one_error_line(error_class, argv, data,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
     monkeypatch.delenv("EFFORTLAB_DATASET", raising=False)
-    argv, data = ERROR_CASES[error_class]
     if data is not None:
         (tmp_path / "data.csv").write_bytes(data)
         argv = [*argv, "--dataset", str(tmp_path / "data.csv")]

@@ -54,27 +54,29 @@ def test_both_missing_markers_accepted():
 
 def test_missing_column_is_schema_error():
     header = ",".join(COLUMNS[:-1])
-    with pytest.raises(el.SchemaError):
+    with pytest.raises(el.ParseError,
+                       match="^missing attributes: Language$") as info:
         _parse(f"{header}\n1,1,4,85,12,5152,253,52,305,34,302\n")
+    assert info.value.row is None
 
 
 def test_duplicate_attribute_is_schema_error():
     # an unknown column may repeat; an attribute of the schema may not
     extra = f"Note,Note,{HEADER}\nx,y,{ROW_1}\n"
     assert _parse(extra)[0].effort == 5152
-    with pytest.raises(el.SchemaError, match="^duplicate attributes: Effort$"):
+    with pytest.raises(el.ParseError, match="^duplicate attributes: Effort$"):
         _parse(f"Effort,{HEADER}\n1.0,{ROW_1}\n")
 
 
 def test_duplicate_arff_attribute_is_schema_error():
     attrs = "\n".join(f"@attribute {c} numeric" for c in ("Effort", *COLUMNS))
     text = f"@relation projects\n{attrs}\n@data\n1.0,{ROW_1}\n"
-    with pytest.raises(el.SchemaError, match="^duplicate attributes: Effort$"):
+    with pytest.raises(el.ParseError, match="^duplicate attributes: Effort$"):
         _parse(text)
 
 
 def test_duplicate_project_id_is_schema_error():
-    with pytest.raises(el.SchemaError, match="duplicate"):
+    with pytest.raises(el.ParseError, match="duplicate"):
         _parse(f"{HEADER}\n{ROW_1}\n{ROW_1}\n")
 
 
@@ -148,7 +150,7 @@ def test_two_bad_rows_report_the_first(bad_rows, message):
 
 def test_duplicate_id_before_a_bad_row_is_reported_first():
     text = f"{HEADER}\n{ROW_1}\n{ROW_1}\n2,abc,0,86,4,5635,197,124,321,33,315,1\n"
-    with pytest.raises(el.SchemaError, match="^duplicate project id 1$"):
+    with pytest.raises(el.ParseError, match="^duplicate project id 1$"):
         _parse(text)
 
 
@@ -156,7 +158,7 @@ def test_filter_complete_reports_first_bad_project():
     bad_language = ROW_1[:-1] + "4"
     bad_effort = ROW_2.replace(",5635,", ",0,")
     records = _parse(f"{HEADER}\n{bad_language}\n{bad_effort}\n")
-    with pytest.raises(el.SchemaError,
+    with pytest.raises(el.DomainError,
                        match="^project 1: language code 4 not in 1..3$"):
         el.filter_complete(records)
     records = _parse(f"{HEADER}\n{bad_effort}\n{bad_language}\n")
@@ -233,7 +235,7 @@ def _csv_texts(draw):
 def _outcome(text):
     try:
         return _parse(text)
-    except (el.ParseError, el.SchemaError) as exc:
+    except el.ParseError as exc:
         return type(exc), str(exc)
 
 
@@ -259,7 +261,7 @@ def test_duplicate_id_across_the_chunk_boundary():
     fresh = ROW_2.replace("2,", f"{dataset._CHUNK_ROWS + 1},", 1)
     records = _parse("\n".join([HEADER, *first, fresh]) + "\n")
     assert len(records) == dataset._CHUNK_ROWS + 1
-    with pytest.raises(el.SchemaError, match="^duplicate project id 7$"):
+    with pytest.raises(el.ParseError, match="^duplicate project id 7$"):
         _parse("\n".join([HEADER, *first, again]) + "\n")
 
 
@@ -491,7 +493,7 @@ def test_filter_complete_rejects_nonpositive_size():
 def test_filter_complete_rejects_unknown_language():
     bad = ROW_1[:-1] + "4"
     records = _parse(f"{HEADER}\n{bad}\n")
-    with pytest.raises(el.SchemaError, match="language"):
+    with pytest.raises(el.DomainError, match="language"):
         el.filter_complete(records)
 
 
@@ -526,6 +528,16 @@ def test_validate_derived_tolerates_small_adjust_drift(complete_records):
                               points_adjust=record.points_adjust * 1.10)
     assert any(v.attribute == "points_adjust"
                for v in el.validate_derived(broken))
+
+
+def test_validate_derived_checks_a_non_positive_expected_adjust(
+        complete_records):
+    # Envergure -100 makes the expected PointsAdjust negative, and no
+    # relative drift of a positive count can reach it
+    record = complete_records[0]._replace(envergure=-100)
+    assert (record.points_non_adjust, record.points_adjust) == (305, 302)
+    assert el.validate_derived(record) == [
+        el.Violation(1, "points_adjust", 305 * (0.65 + 0.01 * -100), 302)]
 
 
 def test_summary_means(complete_records):

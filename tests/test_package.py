@@ -1,6 +1,7 @@
 """The package's public names: exactly what `__all__` lists, each
-function reached by a command unless named as unreached; and no module
-of the package or of its tests imports a name it never uses."""
+function reached by a command unless named as unreached; no module of
+the package or of its tests imports a name it never uses; and no module
+of the package raises the base error class itself."""
 
 import ast
 import os
@@ -105,3 +106,25 @@ def test_unused_import_check_sees_dead_and_exempt_imports():
     computed = ("from .d import e, f\n_MODULES = {'d': ('e',)}\n"
                 "__all__ = sorted(_MODULES['d'])\n")
     assert _unused_imports(computed) == {"e", "f"}
+
+
+def _base_raises(source: str) -> list[int]:
+    """The lines that raise `EffortlabError` itself, called or not."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            if name == "EffortlabError":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_raises_the_base_error():
+    # callers catch the base; every fault is raised as one of its subclasses
+    raised = {path.name: _base_raises(path.read_text())
+              for path in sorted(Path(el.__file__).parent.glob("*.py"))}
+    assert {name: lines for name, lines in raised.items() if lines} == {}
+    assert _base_raises("raise EffortlabError('x')\n"
+                        "raise errors.EffortlabError\n"
+                        "raise DomainError('y')\nraise\n") == [1, 2]

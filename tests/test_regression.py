@@ -495,7 +495,7 @@ def test_stepwise_needs_an_intercept_first(full_frame, monkeypatch):
      "need more rows than columns, got 2x2", 1),
     (lambda records: [r._replace(effort=r.points_non_adjust)
                       for r in records],
-     el.DegenerateInputError,
+     el.DomainError,
      "the model fits the response exactly, so its standard errors are 0", 2),
 ], ids=["constant-column", "too-few-rows", "exact-fit"])
 def test_stepwise_raises_the_first_model_fit_ols_refuses(
